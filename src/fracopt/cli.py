@@ -17,7 +17,7 @@ from .errors import ConfigError
 from .harness import EXIT_CONFIG, EXIT_DIVERGED, EXIT_OK, REPRODUCE_TARGETS, parse_spec_file, reproduce, run_experiment
 
 
-def _check(out) -> int:
+def _check() -> int:
     """Fast invariant suite over the core numerics."""
     from . import (
         FdeProblem,
@@ -116,7 +116,8 @@ def main(argv: list[str] | None = None) -> int:
     )
     parser.add_argument("--out", default="out", help="output directory (default: out)")
     parser.add_argument("--workers", type=int, default=1, help="parallel cells (default: 1)")
-    parser.add_argument("--seed", type=int, default=0, help="base seed (default: 0)")
+    parser.add_argument("--seed", type=int, default=None,
+                        help="base seed, overriding a spec's seed (default: the spec's, or 0)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_run = sub.add_parser("run", help="run an experiment spec file")
@@ -131,7 +132,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         if args.command == "run":
             spec = parse_spec_file(args.spec_file)
-            if args.seed != 0:
+            if args.seed is not None:
                 from dataclasses import replace
                 spec = replace(spec, base_seed=args.seed)
             records, code = run_experiment(spec, args.out, workers=args.workers)
@@ -139,10 +140,10 @@ def main(argv: list[str] | None = None) -> int:
                 print(f"{r.label} r{r.restart}: final_metric={r.final_metric:.6e} [{r.status}]")
             return code
         if args.command == "reproduce":
-            _, code = reproduce(args.target, args.out, seed=args.seed, workers=args.workers)
+            _, code = reproduce(args.target, args.out, seed=args.seed or 0, workers=args.workers)
             print(f"{args.target}: outputs written to {args.out}/")
             return code
-        return _check(args.out)
+        return _check()
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

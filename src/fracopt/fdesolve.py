@@ -20,6 +20,7 @@ from typing import Callable
 import numpy as np
 from scipy.integrate import solve_ivp
 
+from ._csvfile import write_csv
 from .errors import SolverConfigError, SolverDivergenceError, StiffnessError
 from .specfun import MlSeriesConfig, mittag_leffler
 
@@ -61,7 +62,6 @@ def _as_order(alpha) -> FractionalOrder:
 @dataclass(frozen=True)
 class TrajectoryStats:
     steps: int
-    corrector_iterations: int
     field_evaluations: int
 
 
@@ -83,17 +83,24 @@ class Trajectory:
     def dimension(self) -> int:
         return self.states.shape[1]
 
-    def final_state(self) -> np.ndarray:
-        return self.states[-1]
-
     def to_csv(self, path) -> None:
         """Write `t,u_0,...,u_{d-1}` rows at full precision, LF endings."""
-        d = self.dimension
-        header = "t," + ",".join(f"u_{i}" for i in range(d))
-        with open(path, "w", newline="\n") as fh:
-            fh.write(header + "\n")
-            for t, row in zip(self.times, self.states):
-                fh.write(repr(float(t)) + "," + ",".join(repr(float(x)) for x in row) + "\n")
+        write_csv(path, ["t"] + [f"u_{i}" for i in range(self.dimension)],
+                  ([t, *u.tolist()] for t, u in zip(self.times.tolist(), self.states)))
+
+
+def step_count(t_end: float, h: float) -> int:
+    """Number of uniform steps of size ``h`` that end at ``t_end``.
+
+    ``t_end`` must be a whole multiple of ``h`` to within 1e-9 relative, so
+    a horizon is never rounded to a nearby grid point without notice.
+    """
+    if not (0 < h < t_end and math.isfinite(t_end / h)):
+        raise SolverConfigError("h and t_end must satisfy 0 < h < t_end with t_end/h finite")
+    n_steps = round(t_end / h)
+    if abs(n_steps * h - t_end) > 1e-9 * t_end:
+        raise SolverConfigError(f"t_end = {t_end:g} is not a whole number of steps h = {h:g}")
+    return n_steps
 
 
 @dataclass(frozen=True)
@@ -133,21 +140,16 @@ class FdeProblem:
             raise SolverConfigError("v0 is only meaningful for alpha > 1")
         if self.v0 is not None and self.v0.size != u0.size:
             raise SolverConfigError("v0 and u0 must have the same dimension")
-        if not self.t_end > 0:
-            raise SolverConfigError("t_end must be > 0")
-        if not 0 < self.h < self.t_end:
-            raise SolverConfigError("h must satisfy 0 < h < t_end")
+        step_count(self.t_end, self.h)
         f0 = np.asarray(self.field(u0), dtype=float)
         if f0.shape != u0.shape or not np.all(np.isfinite(f0)):
             raise SolverConfigError("F(u0) must be a finite vector matching u0")
 
-    def taylor_seed(self, t: np.ndarray | float) -> np.ndarray:
+    def taylor_seed(self, t: float) -> np.ndarray:
         """Initial-condition polynomial sum_{j<ceil(alpha)} t^j u^(j)(0)/j!."""
         if self.alpha.alpha <= 1:
-            return np.broadcast_to(self.u0, np.shape(t) + self.u0.shape).copy() \
-                if np.ndim(t) else self.u0.copy()
-        return self.u0 + np.multiply.outer(np.asarray(t, dtype=float), self.v0) \
-            if np.ndim(t) else self.u0 + float(t) * self.v0
+            return self.u0.copy()
+        return self.u0 + float(t) * self.v0
 
 
 def solve_pece(problem: FdeProblem) -> Trajectory:
@@ -160,9 +162,7 @@ def solve_pece(problem: FdeProblem) -> Trajectory:
     """
     a = problem.alpha.alpha
     h = problem.h
-    n_steps = int(round(problem.t_end / h))
-    if n_steps < 1:
-        raise SolverConfigError("t_end/h must allow at least one step")
+    n_steps = step_count(problem.t_end, h)
     times = h * np.arange(n_steps + 1)
     d = problem.dimension
 
@@ -212,9 +212,7 @@ def solve_pece(problem: FdeProblem) -> Trajectory:
             f_hist[n + 1] = problem.field(u_next)
             nfev += 1
 
-    stats = TrajectoryStats(
-        steps=n_steps, corrector_iterations=n_steps, field_evaluations=nfev
-    )
+    stats = TrajectoryStats(steps=n_steps, field_evaluations=nfev)
     return Trajectory(times=times, states=states, stats=stats)
 
 
@@ -248,9 +246,7 @@ def solve_reference_ode(
     states = sol.y.T.copy()
     if sol.t[0] == 0.0:
         states[0] = problem.u0
-    stats = TrajectoryStats(
-        steps=len(sol.t) - 1, corrector_iterations=0, field_evaluations=nfev
-    )
+    stats = TrajectoryStats(steps=len(sol.t) - 1, field_evaluations=nfev)
     return Trajectory(times=sol.t, states=states, stats=stats)
 
 

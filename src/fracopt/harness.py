@@ -22,6 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
+from ._csvfile import write_csv
 from .errors import ConfigError, FracoptError
 from .fracops import MemoryWindow
 from .optimizers import (
@@ -30,6 +31,7 @@ from .optimizers import (
     OptimizerConfig,
     RunResult,
     StoppingRule,
+    oscillation_census,
     run_fctm,
     run_fgdm,
     run_gdm,
@@ -101,10 +103,8 @@ class ExperimentSpec:
     def __post_init__(self) -> None:
         if not self.methods:
             raise ConfigError("an experiment needs at least one method entry")
-        thr = tuple(float(t) for t in self.thresholds)
-        if any(b >= a for a, b in zip(thr, thr[1:])):
-            raise ConfigError("thresholds must be strictly decreasing")
-        object.__setattr__(self, "thresholds", thr)
+        # every cell's StoppingRule gets these thresholds; it owns their rule
+        object.__setattr__(self, "thresholds", StoppingRule(thresholds=self.thresholds).thresholds)
         if self.restarts < 1:
             raise ConfigError("restarts must be >= 1")
         # comparisons are only meaningful at matched horizons
@@ -190,37 +190,17 @@ def _run_cell(objective: Objective, u0: np.ndarray, mspec: MethodSpec,
     return run_fctm(objective, u0, cfg, stop)
 
 
-def _format(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
-
-
 def _write_summary(path: Path, records: list[SummaryRecord],
                    thresholds: tuple[float, ...], header_note: str | None = None) -> None:
     cols = ["problem", "label", "method", "alpha", "gain", "restart"]
     cols += [f"t_below_{t:g}" for t in thresholds]
     cols += ["final_metric", "ratio_vs_alpha1", "field_evaluations", "status"]
-    with open(path, "w", newline="\n") as fh:
-        if header_note:
-            fh.write(f"# {header_note}\n")
-        fh.write(",".join(cols) + "\n")
-        for r in records:
-            row = [r.problem, r.label, r.method, _format(r.alpha), _format(r.gain),
-                   str(r.restart)]
-            row += [_format(r.passages.get(t)) for t in thresholds]
-            row += [_format(r.final_metric), _format(r.ratio_vs_alpha1),
-                    str(r.field_evaluations), r.status]
-            fh.write(",".join(row) + "\n")
-
-
-def _write_timing(path: Path, records: list[SummaryRecord]) -> None:
-    with open(path, "w", newline="\n") as fh:
-        fh.write("label,restart,wall_seconds\n")
-        for r in records:
-            fh.write(f"{r.label},{r.restart},{r.wall_seconds:.6f}\n")
+    write_csv(path, cols, (
+        [r.problem, r.label, r.method, r.alpha, r.gain, r.restart]
+        + [r.passages.get(t) for t in thresholds]
+        + [r.final_metric, r.ratio_vs_alpha1, r.field_evaluations, r.status]
+        for r in records
+    ), header_note)
 
 
 def run_experiment(
@@ -242,8 +222,8 @@ def run_experiment(
 
     def work(cell):
         mi, mspec, restart = cell
-        objective, u0, _aux = _build_problem(spec.problem, restart, spec.base_seed)
         try:
+            objective, u0, _aux = _build_problem(spec.problem, restart, spec.base_seed)
             result = _run_cell(objective, u0, mspec, spec.thresholds)
             return mi, mspec, restart, result, None
         except FracoptError as exc:
@@ -256,26 +236,21 @@ def run_experiment(
         outcomes = [work(c) for c in cells]
 
     # alpha = 1 baseline metric per restart, for the ratio column
-    baseline: dict[int, float] = {}
-    for mi, mspec, restart, result, exc in outcomes:
-        if result is not None and mspec.cfg.alpha == 1.0 and restart not in baseline:
-            first_alpha1 = min(
-                i for i, m in enumerate(spec.methods) if m.cfg.alpha == 1.0
-            )
-            if mi == first_alpha1:
-                baseline[restart] = result.final_metric
+    first_alpha1 = next((i for i, m in enumerate(spec.methods) if m.cfg.alpha == 1.0), None)
+    baseline = {restart: result.final_metric for mi, _, restart, result, _ in outcomes
+                if mi == first_alpha1 and result is not None}
 
     records: list[SummaryRecord] = []
     exit_code = EXIT_OK
     for mi, mspec, restart, result, exc in outcomes:
         cfg = mspec.cfg
-        gain = cfg.omega if cfg.omega is not None else cfg.gain
+        cell = dict(problem=spec.problem.kind, label=mspec.label, method=cfg.method.value,
+                    alpha=cfg.alpha, gain=cfg.omega if cfg.omega is not None else cfg.gain,
+                    restart=restart)
         if exc is not None:
             exit_code = EXIT_DIVERGED
             records.append(SummaryRecord(
-                problem=spec.problem.kind, label=mspec.label, method=cfg.method.value,
-                alpha=cfg.alpha, gain=gain, restart=restart,
-                passages={t: None for t in spec.thresholds},
+                **cell, passages={t: None for t in spec.thresholds},
                 final_metric=math.nan, ratio_vs_alpha1=None,
                 field_evaluations=0, status=f"diverged: {exc}", wall_seconds=0.0,
             ))
@@ -283,9 +258,7 @@ def run_experiment(
         base = baseline.get(restart)
         ratio = (base / result.final_metric) if base is not None and result.final_metric > 0 else None
         records.append(SummaryRecord(
-            problem=spec.problem.kind, label=mspec.label, method=cfg.method.value,
-            alpha=cfg.alpha, gain=gain, restart=restart,
-            passages={t: result.first_passage.get(t) for t in spec.thresholds},
+            **cell, passages={t: result.first_passage.get(t) for t in spec.thresholds},
             final_metric=result.final_metric, ratio_vs_alpha1=ratio,
             field_evaluations=result.cost.field_evaluations,
             status="completed", wall_seconds=result.cost.wall_seconds,
@@ -298,7 +271,8 @@ def run_experiment(
 
     records.sort(key=lambda r: (r.alpha, r.label, r.restart))
     _write_summary(out / f"{spec.name}__summary.csv", records, spec.thresholds)
-    _write_timing(out / f"{spec.name}__timing.csv", records)
+    write_csv(out / f"{spec.name}__timing.csv", ["label", "restart", "wall_seconds"],
+              ((r.label, r.restart, f"{r.wall_seconds:.6f}") for r in records))
     return records, exit_code
 
 
@@ -319,11 +293,9 @@ def _parse_method_section(label: str, section) -> MethodSpec:
         method = Method.parse(section.get("method", ""))
         alpha = section.getfloat("alpha", 1.0)
         kwargs = dict(method=method, alpha=alpha)
-        for key, conv in (("omega", section.getfloat), ("gain", section.getfloat),
-                          ("h", section.getfloat), ("t_end", section.getfloat),
-                          ("v0", section.getfloat)):
+        for key in ("omega", "gain", "h", "t_end", "v0"):
             if key in section:
-                kwargs[key] = conv(key)
+                kwargs[key] = section.getfloat(key)
         if method is Method.FGDM:
             kwargs["fgdm_operator"] = section.get("operator", "caputo")
             kwargs["window"] = MemoryWindow(
@@ -381,10 +353,15 @@ def parse_spec_file(path: str | Path) -> ExperimentSpec:
 # canonical reproduction targets
 
 def _fctm(label, alpha, gain, h, t_end, v0=None):
-    kwargs = dict(method=Method.FCTM, alpha=alpha, gain=gain, h=h, t_end=t_end)
-    if alpha > 1:
-        kwargs["v0"] = 0.0 if v0 is None else v0
-    return MethodSpec(label=label, cfg=OptimizerConfig(**kwargs))
+    return MethodSpec(label=label, cfg=OptimizerConfig(
+        method=Method.FCTM, alpha=alpha, gain=gain, h=h, t_end=t_end, v0=v0))
+
+
+def _quadratic_spec(name: str, methods: tuple[MethodSpec, ...], seed: int,
+                    **kwargs) -> ExperimentSpec:
+    """The figures' shared problem: (u - 3)^2 started from u = 1."""
+    return ExperimentSpec(name=name, problem=ProblemSpec(kind="quadratic", c=3.0, u0=(1.0,)),
+                          methods=methods, base_seed=seed, **kwargs)
 
 
 def _reproduce_fig1(out: Path, seed: int, workers: int):
@@ -400,11 +377,7 @@ def _reproduce_fig1(out: Path, seed: int, workers: int):
             k_max=400),
         _fctm("fctm-a0.9", 0.9, gain=1.0, h=1e-3, t_end=20.0),
     )
-    spec = ExperimentSpec(
-        name="fig1", problem=ProblemSpec(kind="quadratic", c=3.0, u0=(1.0,)),
-        methods=methods, base_seed=seed,
-    )
-    return run_experiment(spec, out, workers)
+    return run_experiment(_quadratic_spec("fig1", methods, seed), out, workers)
 
 
 def _reproduce_fig2(out: Path, seed: int, workers: int):
@@ -412,10 +385,7 @@ def _reproduce_fig2(out: Path, seed: int, workers: int):
     # passage times (t ~ 8.4 at order 1.2 vs ~ 32.5 at order 1)
     alphas = (0.5, 0.7, 0.9, 1.0, 1.2, 1.5, 1.7)
     methods = tuple(_fctm(f"fctm-a{a:g}", a, gain=0.1, h=2e-3, t_end=50.0) for a in alphas)
-    spec = ExperimentSpec(
-        name="fig2", problem=ProblemSpec(kind="quadratic", c=3.0, u0=(1.0,)),
-        methods=methods, thresholds=(0.1, 0.01, 3e-3), base_seed=seed,
-    )
+    spec = _quadratic_spec("fig2", methods, seed, thresholds=(0.1, 0.01, 3e-3))
     return run_experiment(spec, out, workers)
 
 
@@ -426,24 +396,15 @@ def _reproduce_fig3(out: Path, seed: int, workers: int):
         for a in (1.2, 1.5, 1.7)
         for v in (0.0, 0.5)
     )
-    spec = ExperimentSpec(
-        name="fig3", problem=ProblemSpec(kind="quadratic", c=3.0, u0=(1.0,)),
-        methods=methods, base_seed=seed,
-    )
-    return run_experiment(spec, out, workers)
+    return run_experiment(_quadratic_spec("fig3", methods, seed), out, workers)
 
 
 def _reproduce_fig4(out: Path, seed: int, workers: int):
     # squared-error traces: monotone decay up to order 1, damped
     # oscillations beyond
-    from .optimizers import oscillation_census
-
     alphas = (0.9, 1.0, 1.2, 1.5, 1.7)
     methods = tuple(_fctm(f"fctm-a{a:g}", a, gain=1.0, h=2e-3, t_end=20.0) for a in alphas)
-    spec = ExperimentSpec(
-        name="fig4", problem=ProblemSpec(kind="quadratic", c=3.0, u0=(1.0,)),
-        methods=methods, base_seed=seed,
-    )
+    spec = _quadratic_spec("fig4", methods, seed)
     records, code = run_experiment(spec, out, workers)
     census_rows = []
     for mspec in methods:
@@ -454,10 +415,7 @@ def _reproduce_fig4(out: Path, seed: int, workers: int):
                              energies=np.sum(diff * diff, axis=1), eta=2.0)
         energy.to_csv(out / f"fig4__energy__{mspec.label}.csv")
         census_rows.append((mspec.label, mspec.cfg.alpha, oscillation_census(energy)))
-    with open(out / "fig4__census.csv", "w", newline="\n") as fh:
-        fh.write("label,alpha,local_minima\n")
-        for label, alpha, census in census_rows:
-            fh.write(f"{label},{_format(alpha)},{census}\n")
+    write_csv(out / "fig4__census.csv", ["label", "alpha", "local_minima"], census_rows)
     return records, code
 
 
@@ -513,30 +471,27 @@ def _reproduce_table2(out: Path, seed: int, workers: int):
         records, c = run_experiment(spec, out, workers)
         all_records.extend(records)
         code = max(code, c)
-        for label in ("gdm", "fctm-a0.7"):
-            group = [r for r in records if r.label == label and r.status == "completed"]
+        for mspec in methods:
+            group = [r for r in records if r.label == mspec.label and r.status == "completed"]
+            if not group:
+                continue  # every restart diverged; the summary rows say why
             best = min(group, key=lambda r: r.final_metric)
             ref = THOMSON_REFERENCE_ENERGIES[n]
-            best_rows.append((n, label, ref, best.final_metric,
+            best_rows.append((n, mspec.label, ref, best.final_metric,
                               (best.final_metric - ref) / ref, best.restart,
                               sum(r.field_evaluations for r in group)))
-        # final geometry of the best fractional run, for external viewing
-        best_fctm = min((r for r in records if r.label == "fctm-a0.7"),
-                        key=lambda r: r.final_metric)
-        obj, u0, tspec = _build_problem(spec.problem, best_fctm.restart, seed)
-        result = _run_cell(obj, u0, methods[1], ())
-        tspec.to_csv(result.converged_to, out / f"table2__geometry_n{n}.csv")
+            if mspec.cfg.method is Method.FCTM:
+                # final geometry of the best fractional run, for external viewing
+                obj, u0, tspec = _build_problem(spec.problem, best.restart, seed)
+                result = _run_cell(obj, u0, mspec, ())
+                tspec.to_csv(result.converged_to, out / f"table2__geometry_n{n}.csv")
     note = (f"best of {TABLE2_RESTARTS} seeded restarts; gdm: omega={TABLE2_GDM_OMEGA:g} "
             f"k_max={TABLE2_GDM_KMAX}; fctm: alpha=0.7 gain=1 h={TABLE2_H:g} "
             f"t_end={TABLE2_T_END:g}; reference wall times are hardware-bound and not "
             f"reproduced, field-evaluation totals reported instead")
-    with open(out / "table2__best.csv", "w", newline="\n") as fh:
-        fh.write(f"# {note}\n")
-        fh.write("charges,label,reference_energy,best_energy,relative_excess,"
-                 "best_restart,total_field_evaluations\n")
-        for n, label, ref, e, rel, restart, evals in best_rows:
-            fh.write(f"{n},{label},{_format(ref)},{_format(e)},{_format(rel)},"
-                     f"{restart},{evals}\n")
+    write_csv(out / "table2__best.csv",
+              ["charges", "label", "reference_energy", "best_energy", "relative_excess",
+               "best_restart", "total_field_evaluations"], best_rows, note)
     return all_records, code
 
 

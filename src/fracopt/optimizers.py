@@ -26,13 +26,15 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from ._csvfile import write_csv
 from .errors import (
     ConfigError,
     IterationDivergenceError,
     OperatorDomainError,
     OrderRangeError,
+    SolverConfigError,
 )
-from .fdesolve import FdeProblem, Trajectory, solve_pece, solve_reference_ode
+from .fdesolve import FdeProblem, Trajectory, solve_pece, solve_reference_ode, step_count
 from .fracops import MemoryWindow, caputo_poly_derivative, gl_derivative, rl_poly_derivative
 from .problems import Objective
 from .specfun import MlSeriesConfig, mittag_leffler, gamma
@@ -125,6 +127,11 @@ class OptimizerConfig:
             raise ConfigError("fgdm_operator must be 'caputo' or 'rl'")
         if self.v0 is not None and self.alpha <= 1:
             raise ConfigError("v0 is only meaningful for alpha > 1")
+        if self.h is not None and self.t_end is not None:
+            try:
+                step_count(self.t_end, self.h)
+            except SolverConfigError as exc:
+                raise ConfigError(str(exc)) from None
 
 
 @dataclass(frozen=True)
@@ -166,14 +173,9 @@ class DiscreteTrace:
         return len(self.costs)
 
     def to_csv(self, path) -> None:
-        d = self.iterates.shape[1]
-        header = "k," + ",".join(f"u_{i}" for i in range(d)) + ",f"
-        with open(path, "w", newline="\n") as fh:
-            fh.write(header + "\n")
-            for k, (row, c) in enumerate(zip(self.iterates, self.costs)):
-                fh.write(
-                    f"{k}," + ",".join(repr(float(x)) for x in row) + f",{repr(float(c))}\n"
-                )
+        header = ["k"] + [f"u_{i}" for i in range(self.iterates.shape[1])] + ["f"]
+        write_csv(path, header, ([k, *u.tolist(), c] for k, (u, c)
+                                 in enumerate(zip(self.iterates, self.costs.tolist()))))
 
 
 @dataclass(frozen=True)
@@ -194,12 +196,6 @@ class RunResult:
     converged: bool
     cost: RunCost
 
-    @property
-    def trace_times(self) -> np.ndarray:
-        if self.trace is not None:
-            return self.trace.times
-        return np.arange(len(self.iterations), dtype=float)
-
 
 def first_passages(
     times: np.ndarray, metrics: np.ndarray, thresholds: Sequence[float]
@@ -214,30 +210,24 @@ def first_passages(
     return out
 
 
-def _metric_series(objective: Objective, states: np.ndarray) -> np.ndarray:
-    return np.array([objective.metric(u) for u in states])
-
-
 def _wrap_result(
     objective: Objective,
     cfg: OptimizerConfig,
     stop: StoppingRule,
-    times: np.ndarray,
-    states: np.ndarray,
-    trace: Trajectory | None,
-    iterations: DiscreteTrace | None,
+    history: Trajectory | DiscreteTrace,
     nfev: int,
     wall: float,
 ) -> RunResult:
-    metrics = _metric_series(objective, states)
+    if isinstance(history, Trajectory):
+        trace, iterations, times, states = history, None, history.times, history.states
+    else:
+        trace, iterations = None, history
+        times, states = np.arange(len(history), dtype=float), history.iterates
+    metrics = np.array([objective.metric(u) for u in states])
     passages = first_passages(times, metrics, stop.thresholds)
-    converged = True
-    converged_to = states[-1]
-    if stop.epsilon is not None:
-        reached = np.flatnonzero(metrics < stop.epsilon)
-        if reached.size == 0:
-            converged = False
-            converged_to = states[int(np.argmin(metrics))]
+    # a run that never reached epsilon reports the best state it saw
+    converged = stop.epsilon is None or bool(np.any(metrics < stop.epsilon))
+    converged_to = states[-1] if converged else states[int(np.argmin(metrics))]
     return RunResult(
         method=cfg.method,
         alpha=cfg.alpha,
@@ -251,6 +241,41 @@ def _wrap_result(
     )
 
 
+def _descend(
+    objective: Objective,
+    u: np.ndarray,
+    cfg: OptimizerConfig,
+    stop: StoppingRule,
+    step: Callable[[int, np.ndarray], tuple[np.ndarray, bool]],
+) -> RunResult:
+    """Iterate a discrete rule from ``u`` until a stop condition holds.
+
+    ``step(k, u)`` returns the next iterate (a new array) and whether the
+    rule has settled.
+    """
+    t0 = time.perf_counter()
+    k_max = stop.k_max if stop.k_max is not None else _DEFAULT_K_MAX
+    us = [u]
+    fs = [objective.f(u)]
+    nfev = 0
+    # overflow on a diverging run is expected and detected explicitly
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(k_max):
+            if stop.epsilon is not None and objective.metric(u) < stop.epsilon:
+                break
+            u, settled = step(k, u)
+            nfev += 1
+            fk = objective.f(u)
+            if not (np.all(np.isfinite(u)) and math.isfinite(fk)):
+                raise IterationDivergenceError(k + 1)
+            us.append(u)
+            fs.append(fk)
+            if settled:
+                break
+    trace = DiscreteTrace(iterates=np.array(us), costs=np.array(fs))
+    return _wrap_result(objective, cfg, stop, trace, nfev, time.perf_counter() - t0)
+
+
 def run_gdm(
     objective: Objective,
     u0: np.ndarray,
@@ -260,28 +285,9 @@ def run_gdm(
     """Discrete steepest descent with fixed step size."""
     if cfg.method is not Method.GDM:
         raise ConfigError("run_gdm requires a gdm configuration")
-    t0 = time.perf_counter()
     u = np.atleast_1d(np.asarray(u0, dtype=float)).copy()
-    k_max = stop.k_max if stop.k_max is not None else _DEFAULT_K_MAX
-    us = [u.copy()]
-    fs = [objective.f(u)]
-    nfev = 0
-    # overflow on a diverging run is expected and detected explicitly
-    with np.errstate(over="ignore", invalid="ignore"):
-        for k in range(k_max):
-            if stop.epsilon is not None and objective.metric(u) < stop.epsilon:
-                break
-            u = u - cfg.omega * objective.gradient(u)
-            nfev += 1
-            fk = objective.f(u)
-            if not (np.all(np.isfinite(u)) and math.isfinite(fk)):
-                raise IterationDivergenceError(k + 1)
-            us.append(u.copy())
-            fs.append(fk)
-    trace = DiscreteTrace(iterates=np.array(us), costs=np.array(fs))
-    wall = time.perf_counter() - t0
-    times = np.arange(len(trace), dtype=float)
-    return _wrap_result(objective, cfg, stop, times, trace.iterates, None, trace, nfev, wall)
+    return _descend(objective, u, cfg, stop,
+                    lambda k, u: (u - cfg.omega * objective.gradient(u), False))
 
 
 def _fgdm_operator(objective: Objective, cfg: OptimizerConfig) -> Callable[[float], float]:
@@ -326,36 +332,22 @@ def run_fgdm(
         raise ConfigError("run_fgdm requires an fgdm configuration")
     if objective.dimension != 1:
         raise ConfigError("fgdm is restricted to scalar objectives")
-    t0 = time.perf_counter()
     derivative = _fgdm_operator(objective, cfg)
-    u = float(np.atleast_1d(np.asarray(u0, dtype=float))[0])
-    k_max = stop.k_max if stop.k_max is not None else _DEFAULT_K_MAX
-    us = [u]
-    fs = [objective.f(np.array([u]))]
-    nfev = 0
-    for k in range(k_max):
-        if stop.epsilon is not None and objective.metric(np.array([u])) < stop.epsilon:
-            break
+
+    def step(k: int, u: np.ndarray) -> tuple[np.ndarray, bool]:
+        x = float(u[0])
         try:
-            d = derivative(u)
+            d = derivative(x)
         except OperatorDomainError as exc:
             raise OperatorDomainError(
-                f"iteration {k}: iterate u = {u:g} left the operator domain ({exc})"
+                f"iteration {k}: iterate u = {x:g} left the operator domain ({exc})"
             ) from exc
-        u_next = u - cfg.omega * d
-        fk = objective.f(np.array([u_next]))
-        if not (math.isfinite(u_next) and math.isfinite(fk)):
-            raise IterationDivergenceError(k + 1)
-        u = u_next
-        nfev += 1
-        us.append(u)
-        fs.append(fk)
-        if abs(cfg.omega * d) < 1e-14 * max(1.0, abs(u)):
-            break  # settled at the operator zero to machine precision
-    trace = DiscreteTrace(iterates=np.array(us)[:, None], costs=np.array(fs))
-    wall = time.perf_counter() - t0
-    times = np.arange(len(trace), dtype=float)
-    return _wrap_result(objective, cfg, stop, times, trace.iterates, None, trace, nfev, wall)
+        x_next = x - cfg.omega * d
+        # settled at the operator zero to machine precision
+        return np.array([x_next]), abs(cfg.omega * d) < 1e-14 * max(1.0, abs(x_next))
+
+    u = np.atleast_1d(np.asarray(u0, dtype=float))[:1].copy()
+    return _descend(objective, u, cfg, stop, step)
 
 
 def run_fctm(
@@ -374,29 +366,26 @@ def run_fctm(
         raise ConfigError("run_fctm requires an fctm or cgm configuration")
     t0 = time.perf_counter()
     gain = cfg.gain
-    nfev_box = [0]
 
     def fde_field(u: np.ndarray) -> np.ndarray:
-        nfev_box[0] += 1
         return -gain * objective.gradient(u)
 
     t_end = stop.t_end if stop.t_end is not None else cfg.t_end
     v0 = cfg.v0 if cfg.alpha > 1 else None
     if cfg.alpha > 1 and v0 is None:
         v0 = 0.0
+    # CGM without h keeps the adaptive solver's own steps and never reads h,
+    # so it gets a step that divides any horizon
     problem = FdeProblem(
-        alpha=cfg.alpha, field=fde_field, u0=u0, t_end=t_end, h=cfg.h or 1e-3, v0=v0
+        alpha=cfg.alpha, field=fde_field, u0=u0, t_end=t_end, h=cfg.h or t_end / 2, v0=v0
     )
     if cfg.method is Method.CGM:
-        t_eval = problem.h * np.arange(int(round(t_end / problem.h)) + 1) if cfg.h else None
+        t_eval = problem.h * np.arange(step_count(t_end, problem.h) + 1) if cfg.h else None
         traj = solve_reference_ode(problem, rel_tol=cfg.rel_tol, abs_tol=cfg.abs_tol, t_eval=t_eval)
     else:
         traj = solve_pece(problem)
     wall = time.perf_counter() - t0
-    return _wrap_result(
-        objective, cfg, stop, traj.times, traj.states, traj, None,
-        traj.stats.field_evaluations, wall,
-    )
+    return _wrap_result(objective, cfg, stop, traj, traj.stats.field_evaluations, wall)
 
 
 @dataclass(frozen=True)
@@ -414,10 +403,7 @@ class EnergyTrace:
         self.energies.flags.writeable = False
 
     def to_csv(self, path) -> None:
-        with open(path, "w", newline="\n") as fh:
-            fh.write("t,V\n")
-            for t, v in zip(self.times, self.energies):
-                fh.write(f"{repr(float(t))},{repr(float(v))}\n")
+        write_csv(path, ["t", "V"], zip(self.times.tolist(), self.energies.tolist()))
 
 
 def stability_envelope_check(

@@ -13,6 +13,7 @@ from typing import Callable
 
 import numpy as np
 
+from ._csvfile import write_csv
 from .errors import SampleRetryError, SingularPairError
 from .fracops import Polynomial
 
@@ -188,11 +189,6 @@ class ThomsonSpec:
             (sin_phi * np.cos(theta), sin_phi * np.sin(theta), np.cos(phi))
         )
 
-    def pair_distances(self, u: np.ndarray) -> np.ndarray:
-        xyz = self.cartesian(u)
-        diff = xyz[:, None, :] - xyz[None, :, :]
-        return np.sqrt(np.sum(diff * diff, axis=-1))
-
     def pole_proximity(self, u: np.ndarray, tol: float = 1e-6) -> np.ndarray:
         """Indices of charges within ``tol`` of a coordinate pole, where the
         azimuthal gradient component degenerates."""
@@ -201,11 +197,8 @@ class ThomsonSpec:
 
     def to_csv(self, u: np.ndarray, path) -> None:
         """Write final Cartesian coordinates as `i,x,y,z` rows."""
-        xyz = self.cartesian(u)
-        with open(path, "w", newline="\n") as fh:
-            fh.write("i,x,y,z\n")
-            for i, row in enumerate(xyz):
-                fh.write(f"{i}," + ",".join(repr(float(v)) for v in row) + "\n")
+        write_csv(path, ["i", "x", "y", "z"],
+                  ([i, *row] for i, row in enumerate(self.cartesian(u).tolist())))
 
 
 def make_thomson(n_charges: int) -> tuple[Objective, ThomsonSpec]:

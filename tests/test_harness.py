@@ -1,12 +1,14 @@
 from __future__ import annotations
 
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import fracopt.harness as harness
 from fracopt.cli import main
-from fracopt.errors import ConfigError
+from fracopt.errors import ConfigError, IterationDivergenceError, SampleRetryError, SolverDivergenceError
 from fracopt.harness import (
     EXIT_CONFIG,
     EXIT_DIVERGED,
@@ -19,6 +21,9 @@ from fracopt.harness import (
     run_experiment,
 )
 from fracopt.optimizers import Method, OptimizerConfig
+from fracopt.problems import random_sphere_configuration
+
+SPECS = Path(__file__).resolve().parents[1] / "specs"
 
 QUAD_SPEC_TEXT = """
 [experiment]
@@ -229,3 +234,74 @@ class TestCli:
     def test_unknown_reproduce_target_rejected_by_parser(self):
         with pytest.raises(SystemExit):
             main(["reproduce", "table9"])
+
+    @pytest.mark.parametrize("h,t_end", [(0.4, 1.0), (5.0, 1.0)])
+    def test_horizon_not_whole_steps_is_config_error(self, tmp_path, h, t_end):
+        path = tmp_path / "bad.ini"
+        path.write_text(f"[experiment]\nproblem = quadratic\n\n[method.f]\nmethod = fctm\n"
+                        f"alpha = 0.9\ngain = 1.0\nh = {h}\nt_end = {t_end}\n")
+        assert main(["--out", str(tmp_path), "run", str(path)]) == EXIT_CONFIG
+
+    def test_seed_zero_overrides_spec_seed(self, tmp_path):
+        path = tmp_path / "th.ini"
+        path.write_text("[experiment]\nname = th\nproblem = thomson\ncharges = 4\n"
+                        "thresholds =\nseed = 5\n\n[method.gdm]\nmethod = gdm\n"
+                        "omega = 0.005\nk_max = 20\n")
+
+        def summary(*seed):
+            out = tmp_path / ("out" + "".join(seed))
+            assert main(["--out", str(out), *seed, "run", str(path)]) == EXIT_OK
+            return (out / "th__summary.csv").read_bytes()
+
+        assert summary("--seed", "0") != summary()
+        assert summary("--seed", "5") == summary()
+
+    def test_check_passes(self, capsys):
+        assert main(["check"]) == EXIT_OK
+        lines = capsys.readouterr().out.splitlines()
+        assert lines and not [l for l in lines if l.startswith("FAIL")]
+
+
+class TestTypedFailures:
+    """A failing cell is recorded and the run exits 3, with no traceback."""
+
+    @pytest.fixture
+    def small_table2(self, monkeypatch):
+        monkeypatch.setattr(harness, "TABLE2_RESTARTS", 2)
+        monkeypatch.setattr(harness, "TABLE2_GDM_KMAX", 20)
+        monkeypatch.setattr(harness, "TABLE2_T_END", 0.1)
+
+    def test_start_point_sampling_failure(self, tmp_path, monkeypatch):
+        def exhausted(n_charges, seed, max_retries=100):
+            raise SampleRetryError("no separated charges")
+
+        monkeypatch.setattr(harness, "random_sphere_configuration", exhausted)
+        code = main(["--out", str(tmp_path), "run", str(SPECS / "thomson_n4.ini")])
+        assert code == EXIT_DIVERGED
+        rows = (tmp_path / "thomson_n4__summary.csv").read_text().splitlines()[1:]
+        assert len(rows) == 10 and all(",diverged: " in r for r in rows)
+
+    def test_table2_method_with_every_restart_diverged(self, tmp_path, monkeypatch, small_table2):
+        def diverging(objective, u0, cfg, stop):
+            raise IterationDivergenceError(1)
+
+        monkeypatch.setattr(harness, "run_gdm", diverging)
+        assert main(["--out", str(tmp_path), "reproduce", "table2"]) == EXIT_DIVERGED
+        labels = [r.split(",")[1] for r in
+                  (tmp_path / "table2__best.csv").read_text().splitlines()[2:]]
+        assert labels == ["fctm-a0.7"] * 4
+
+    def test_table2_geometry_from_completed_restart(self, tmp_path, monkeypatch, small_table2):
+        run_fctm = harness.run_fctm
+
+        def first_restart_diverges(objective, u0, cfg, stop):
+            if np.array_equal(u0, random_sphere_configuration(u0.size // 2, seed=0)):
+                raise SolverDivergenceError(0.0)
+            return run_fctm(objective, u0, cfg, stop)
+
+        monkeypatch.setattr(harness, "run_fctm", first_restart_diverges)
+        assert main(["--out", str(tmp_path), "reproduce", "table2"]) == EXIT_DIVERGED
+        rows = [r.split(",") for r in
+                (tmp_path / "table2__best.csv").read_text().splitlines()[2:]]
+        assert [r[5] for r in rows if r[1] == "fctm-a0.7"] == ["1"] * 4
+        assert all((tmp_path / f"table2__geometry_n{n}.csv").exists() for n in (4, 5, 6, 12))

@@ -237,7 +237,6 @@ class TestFctm:
     def test_cgm_routes_through_reference_solver(self):
         cfg = OptimizerConfig(method=Method.CGM, gain=1.0, t_end=5.0, h=1e-2)
         res = run_fctm(QUAD, np.array([1.0]), cfg)
-        assert res.trace.stats.corrector_iterations == 0
         assert res.converged_to[0] == pytest.approx(3.0 - 2.0 * math.exp(-10.0), abs=1e-6)
 
     def test_order_reduction_to_gdm(self):
