@@ -19,7 +19,7 @@ class MittagLefflerError(FracoptError):
     """Series evaluation of E_{alpha,beta} did not converge to tolerance.
 
     ``achieved_tolerance`` carries the magnitude of the last computed term
-    (or the rejection radius) so callers can report how far off the request was.
+    (inf on overflow) so callers can report how far off the request was.
     """
 
     def __init__(self, message: str, achieved_tolerance: float):

@@ -22,7 +22,7 @@ from scipy.integrate import solve_ivp
 
 from ._csvfile import write_csv
 from .errors import SolverConfigError, SolverDivergenceError, StiffnessError
-from .specfun import MlSeriesConfig, mittag_leffler
+from .specfun import mittag_leffler
 
 __all__ = [
     "FractionalOrder",
@@ -257,7 +257,6 @@ def linear_relaxation_solution(
     u0: float,
     times: np.ndarray,
     v0: float = 0.0,
-    cfg: MlSeriesConfig | None = None,
 ) -> np.ndarray:
     """Closed-form solution of D^alpha u = -rate (u - target).
 
@@ -268,14 +267,11 @@ def linear_relaxation_solution(
     """
     alpha = float(_as_order(alpha))
     times = np.asarray(times, dtype=float)
-    if cfg is None:
-        z_max = rate * float(np.max(times)) ** alpha
-        cfg = MlSeriesConfig(argument_switch_radius=max(50.0, 1.1 * z_max))
     out = np.empty_like(times)
     for i, t in enumerate(times):
         z = -rate * t**alpha
-        val = target + (u0 - target) * mittag_leffler(alpha, 1.0, z, cfg)
+        val = target + (u0 - target) * mittag_leffler(alpha, 1.0, z)
         if alpha > 1 and v0 != 0.0:
-            val += v0 * t * mittag_leffler(alpha, 2.0, z, cfg)
+            val += v0 * t * mittag_leffler(alpha, 2.0, z)
         out[i] = val
     return out

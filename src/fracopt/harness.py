@@ -17,7 +17,7 @@ from __future__ import annotations
 import configparser
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -38,7 +38,7 @@ from .optimizers import (
 )
 from .problems import (
     THOMSON_REFERENCE_ENERGIES,
-    Objective,
+    ThomsonSpec,
     make_quadratic,
     make_thomson,
     make_vandermonde,
@@ -81,6 +81,13 @@ class ProblemSpec:
             raise ConfigError(f"unknown problem kind: {self.kind!r}")
         if self.target_rule not in ("alternating", "dominant-modes"):
             raise ConfigError(f"unknown target rule: {self.target_rule!r}")
+        if self.charges < 2:
+            raise ConfigError(f"charges must be >= 2, got {self.charges}")
+        if self.degree < 1:
+            raise ConfigError(f"degree must be >= 1, got {self.degree}")
+        size = {"quadratic": 1, "vandermonde": self.degree + 1}.get(self.kind, 0)
+        if self.u0 is not None and len(self.u0) != size:
+            raise ConfigError(f"{self.kind} takes {size} u0 value(s), got {len(self.u0)}")
 
 
 @dataclass(frozen=True)
@@ -103,6 +110,10 @@ class ExperimentSpec:
     def __post_init__(self) -> None:
         if not self.methods:
             raise ConfigError("an experiment needs at least one method entry")
+        # output files are named <name>__<label>__r<restart>.csv
+        for part in (self.name, *(m.label for m in self.methods)):
+            if not part or "/" in part or "\\" in part:
+                raise ConfigError(f"name or label {part!r} is empty or contains '/' or '\\'")
         # every cell's StoppingRule gets these thresholds; it owns their rule
         object.__setattr__(self, "thresholds", StoppingRule(thresholds=self.thresholds).thresholds)
         if self.restarts < 1:
@@ -129,6 +140,8 @@ class SummaryRecord:
     field_evaluations: int
     status: str
     wall_seconds: float
+    # the cell's full result (None if it diverged), for targets that post-process it
+    result: RunResult | None = field(default=None, compare=False, repr=False)
 
 
 def _sign_normalized_svd(matrix: np.ndarray):
@@ -143,7 +156,7 @@ def _sign_normalized_svd(matrix: np.ndarray):
     return u, s, vt
 
 
-def dominant_mode_target(degree: int, scale: float = 0.7, mix: float = 0.1) -> np.ndarray:
+def dominant_mode_target(degree: int) -> np.ndarray:
     """Table-1 target generator: the best-conditioned right singular
     direction of X plus a small admixture of the slow sigma~0.13 mode.
 
@@ -151,36 +164,35 @@ def dominant_mode_target(degree: int, scale: float = 0.7, mix: float = 0.1) -> n
     directions (discrete Picard condition); a target with order-one weight
     on the near-null modes would freeze the residual for every order and
     erase the decay contrasts the comparison is about.  The dominant-mode
-    weight is sized so the first oscillation dip of the order-1.4 flow
-    crosses the 0.1 passage threshold.
+    weight 0.7 is sized so the first oscillation dip of the order-1.4 flow
+    crosses the 0.1 passage threshold; the slow mode enters at 0.1.
     """
     _, spec = make_vandermonde(degree)
     _, _, vt = _sign_normalized_svd(spec.matrix)
-    return scale * vt[0] + mix * vt[3]
+    return 0.7 * vt[0] + 0.1 * vt[3]
 
 
 def _build_problem(pspec: ProblemSpec, restart: int, base_seed: int):
-    """Returns (objective, u0, auxiliary spec or None)."""
+    """Returns (objective, u0)."""
     if pspec.kind == "quadratic":
         obj = make_quadratic(pspec.c)
         u0 = np.array(pspec.u0 if pspec.u0 is not None else [1.0])
-        return obj, u0, None
+        return obj, u0
     if pspec.kind == "vandermonde":
-        if pspec.target_rule == "dominant-modes":
-            obj, vspec = make_vandermonde(pspec.degree, u_true=dominant_mode_target(pspec.degree))
-        else:
-            obj, vspec = make_vandermonde(pspec.degree)
+        dominant = pspec.target_rule == "dominant-modes"
+        obj, _ = make_vandermonde(
+            pspec.degree, u_true=dominant_mode_target(pspec.degree) if dominant else None)
         u0 = np.array(pspec.u0) if pspec.u0 is not None else np.zeros(pspec.degree + 1)
-        return obj, u0, vspec
-    obj, tspec = make_thomson(pspec.charges)
+        return obj, u0
+    obj, _ = make_thomson(pspec.charges)
     seed = base_seed + _SEED_STRIDE * restart
-    return obj, random_sphere_configuration(pspec.charges, seed=seed), tspec
+    return obj, random_sphere_configuration(pspec.charges, seed=seed)
 
 
-def _run_cell(objective: Objective, u0: np.ndarray, mspec: MethodSpec,
-              thresholds: tuple[float, ...]) -> RunResult:
+def _run_cell(spec: ExperimentSpec, mspec: MethodSpec, restart: int) -> RunResult:
+    objective, u0 = _build_problem(spec.problem, restart, spec.base_seed)
     stop = StoppingRule(
-        epsilon=mspec.epsilon, k_max=mspec.k_max, thresholds=thresholds
+        epsilon=mspec.epsilon, k_max=mspec.k_max, thresholds=spec.thresholds
     )
     cfg = mspec.cfg
     if cfg.method is Method.GDM:
@@ -223,8 +235,7 @@ def run_experiment(
     def work(cell):
         mi, mspec, restart = cell
         try:
-            objective, u0, _aux = _build_problem(spec.problem, restart, spec.base_seed)
-            result = _run_cell(objective, u0, mspec, spec.thresholds)
+            result = _run_cell(spec, mspec, restart)
             return mi, mspec, restart, result, None
         except FracoptError as exc:
             return mi, mspec, restart, None, exc
@@ -261,7 +272,7 @@ def run_experiment(
             **cell, passages={t: result.first_passage.get(t) for t in spec.thresholds},
             final_metric=result.final_metric, ratio_vs_alpha1=ratio,
             field_evaluations=result.cost.field_evaluations,
-            status="completed", wall_seconds=result.cost.wall_seconds,
+            status="completed", wall_seconds=result.cost.wall_seconds, result=result,
         ))
         trace_path = out / f"{spec.name}__{mspec.label}__r{restart}.csv"
         if result.trace is not None:
@@ -307,7 +318,7 @@ def _parse_method_section(label: str, section) -> MethodSpec:
         k_max = section.getint("k_max") if "k_max" in section else None
         epsilon = section.getfloat("epsilon") if "epsilon" in section else None
         return MethodSpec(label=label, cfg=cfg, k_max=k_max, epsilon=epsilon)
-    except (ValueError, ConfigError) as exc:
+    except (ValueError, configparser.Error) as exc:
         raise ConfigError(f"[{label}]: {exc}") from exc
 
 
@@ -315,7 +326,10 @@ def parse_spec_file(path: str | Path) -> ExperimentSpec:
     """Parse the INI-style experiment description documented in the README:
     one [experiment] section plus one [method.<label>] section per entry."""
     parser = configparser.ConfigParser()
-    read = parser.read(str(path))
+    try:
+        read = parser.read(str(path))
+    except configparser.Error as exc:
+        raise ConfigError(f"malformed spec file: {exc}") from None
     if not read:
         raise ConfigError(f"cannot read spec file: {path}")
     if "experiment" not in parser:
@@ -345,7 +359,7 @@ def parse_spec_file(path: str | Path) -> ExperimentSpec:
             restarts=exp.getint("restarts", 1),
             base_seed=exp.getint("seed", 0),
         )
-    except ValueError as exc:
+    except (ValueError, configparser.Error) as exc:
         raise ConfigError(f"[experiment]: {exc}") from exc
 
 
@@ -407,14 +421,14 @@ def _reproduce_fig4(out: Path, seed: int, workers: int):
     spec = _quadratic_spec("fig4", methods, seed)
     records, code = run_experiment(spec, out, workers)
     census_rows = []
-    for mspec in methods:
-        obj, u0, _ = _build_problem(spec.problem, 0, seed)
-        result = _run_cell(obj, u0, mspec, spec.thresholds)
-        diff = result.trace.states - 3.0
-        energy = EnergyTrace(times=result.trace.times,
+    for r in records:  # in order of alpha, as listed
+        if r.result is None:
+            continue  # diverged; the summary row says why
+        diff = r.result.trace.states - 3.0
+        energy = EnergyTrace(times=r.result.trace.times,
                              energies=np.sum(diff * diff, axis=1), eta=2.0)
-        energy.to_csv(out / f"fig4__energy__{mspec.label}.csv")
-        census_rows.append((mspec.label, mspec.cfg.alpha, oscillation_census(energy)))
+        energy.to_csv(out / f"fig4__energy__{r.label}.csv")
+        census_rows.append((r.label, r.alpha, oscillation_census(energy)))
     write_csv(out / "fig4__census.csv", ["label", "alpha", "local_minima"], census_rows)
     return records, code
 
@@ -454,6 +468,26 @@ TABLE2_GDM_KMAX = 6000
 TABLE2_RESTARTS = 10
 
 
+def _table2_best(n: int, methods: tuple[MethodSpec, ...], records: list[SummaryRecord],
+                 out: Path) -> list[tuple]:
+    """Best completed restart of each method at N charges, plus the final
+    geometry of the best FCTM restart."""
+    rows = []
+    for mspec in methods:
+        group = [r for r in records if r.label == mspec.label and r.status == "completed"]
+        if not group:
+            continue  # every restart diverged; the summary rows say why
+        best = min(group, key=lambda r: r.final_metric)
+        ref = THOMSON_REFERENCE_ENERGIES[n]
+        rows.append((n, mspec.label, ref, best.final_metric,
+                     (best.final_metric - ref) / ref, best.restart,
+                     sum(r.field_evaluations for r in group)))
+        if mspec.cfg.method is Method.FCTM:
+            # final geometry of the best fractional run, for external viewing
+            ThomsonSpec(n).to_csv(best.result.converged_to, out / f"table2__geometry_n{n}.csv")
+    return rows
+
+
 def _reproduce_table2(out: Path, seed: int, workers: int):
     all_records: list[SummaryRecord] = []
     code = EXIT_OK
@@ -469,22 +503,11 @@ def _reproduce_table2(out: Path, seed: int, workers: int):
             methods=methods, thresholds=(), restarts=TABLE2_RESTARTS, base_seed=seed,
         )
         records, c = run_experiment(spec, out, workers)
-        all_records.extend(records)
         code = max(code, c)
-        for mspec in methods:
-            group = [r for r in records if r.label == mspec.label and r.status == "completed"]
-            if not group:
-                continue  # every restart diverged; the summary rows say why
-            best = min(group, key=lambda r: r.final_metric)
-            ref = THOMSON_REFERENCE_ENERGIES[n]
-            best_rows.append((n, mspec.label, ref, best.final_metric,
-                              (best.final_metric - ref) / ref, best.restart,
-                              sum(r.field_evaluations for r in group)))
-            if mspec.cfg.method is Method.FCTM:
-                # final geometry of the best fractional run, for external viewing
-                obj, u0, tspec = _build_problem(spec.problem, best.restart, seed)
-                result = _run_cell(obj, u0, mspec, ())
-                tspec.to_csv(result.converged_to, out / f"table2__geometry_n{n}.csv")
+        best_rows.extend(_table2_best(n, methods, records, out))
+        # drop this N's traces before the next N runs
+        records = [replace(r, result=None) for r in records]
+        all_records.extend(records)
     note = (f"best of {TABLE2_RESTARTS} seeded restarts; gdm: omega={TABLE2_GDM_OMEGA:g} "
             f"k_max={TABLE2_GDM_KMAX}; fctm: alpha=0.7 gain=1 h={TABLE2_H:g} "
             f"t_end={TABLE2_T_END:g}; reference wall times are hardware-bound and not "

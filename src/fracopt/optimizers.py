@@ -37,7 +37,7 @@ from .errors import (
 from .fdesolve import FdeProblem, Trajectory, solve_pece, solve_reference_ode, step_count
 from .fracops import MemoryWindow, caputo_poly_derivative, gl_derivative, rl_poly_derivative
 from .problems import Objective
-from .specfun import MlSeriesConfig, mittag_leffler, gamma
+from .specfun import mittag_leffler, gamma
 
 __all__ = [
     "Method",
@@ -90,8 +90,6 @@ class OptimizerConfig:
     h: float | None = None
     t_end: float | None = None
     v0: float | np.ndarray | None = None
-    rel_tol: float = 1e-8
-    abs_tol: float = 1e-10
 
     def __post_init__(self) -> None:
         m = self.method
@@ -136,7 +134,7 @@ class OptimizerConfig:
 
 @dataclass(frozen=True)
 class StoppingRule:
-    """Union of stop conditions: metric < epsilon, t >= t_end, k >= k_max.
+    """Union of stop conditions: metric < epsilon, k >= k_max.
 
     ``thresholds`` are the first-passage levels recorded along the way
     (strictly decreasing).  Continuous methods integrate their configured
@@ -145,7 +143,6 @@ class StoppingRule:
     """
 
     epsilon: float | None = None
-    t_end: float | None = None
     k_max: int | None = None
     thresholds: tuple[float, ...] = ()
 
@@ -370,18 +367,17 @@ def run_fctm(
     def fde_field(u: np.ndarray) -> np.ndarray:
         return -gain * objective.gradient(u)
 
-    t_end = stop.t_end if stop.t_end is not None else cfg.t_end
     v0 = cfg.v0 if cfg.alpha > 1 else None
     if cfg.alpha > 1 and v0 is None:
         v0 = 0.0
     # CGM without h keeps the adaptive solver's own steps and never reads h,
     # so it gets a step that divides any horizon
     problem = FdeProblem(
-        alpha=cfg.alpha, field=fde_field, u0=u0, t_end=t_end, h=cfg.h or t_end / 2, v0=v0
+        alpha=cfg.alpha, field=fde_field, u0=u0, t_end=cfg.t_end, h=cfg.h or cfg.t_end / 2, v0=v0
     )
     if cfg.method is Method.CGM:
-        t_eval = problem.h * np.arange(step_count(t_end, problem.h) + 1) if cfg.h else None
-        traj = solve_reference_ode(problem, rel_tol=cfg.rel_tol, abs_tol=cfg.abs_tol, t_eval=t_eval)
+        t_eval = problem.h * np.arange(step_count(cfg.t_end, problem.h) + 1) if cfg.h else None
+        traj = solve_reference_ode(problem, t_eval=t_eval)
     else:
         traj = solve_pece(problem)
     wall = time.perf_counter() - t0
@@ -431,10 +427,8 @@ def stability_envelope_check(
     v0 = float(energies[0])
     if v0 == 0.0:
         return energy, bool(np.all(energies <= slack))
-    z_max = eta * float(trace.times[-1]) ** alpha
-    cfg = MlSeriesConfig(argument_switch_radius=max(50.0, 1.1 * z_max))
     envelope = np.array(
-        [mittag_leffler(alpha, 1.0, -eta * t**alpha, cfg) for t in trace.times]
+        [mittag_leffler(alpha, 1.0, -eta * t**alpha) for t in trace.times]
     )
     ok = bool(np.all(energies <= v0 * envelope + slack))
     return energy, ok

@@ -111,20 +111,17 @@ class VandermondeSpec:
 
 def make_vandermonde(
     m: int,
-    node_rule: str = "uniform-interior",
     u_true: np.ndarray | int | None = None,
 ) -> tuple[Objective, VandermondeSpec]:
     """Least-squares objective f(u) = ||Xu - g||^2 for the degree-m system.
 
-    Nodes default to x_j = (j+1)/(m+2), strictly inside (0, 1).  The target
+    Nodes are x_j = (j+1)/(m+2), strictly inside (0, 1).  The target
     is generated as g = X u_true so the exact solution is known; u_true
     defaults to the alternating +-1 pattern, or is drawn from a seed when
     an int is given.
     """
     if m < 1:
         raise ValueError("degree m must be >= 1")
-    if node_rule != "uniform-interior":
-        raise ValueError(f"unknown node rule: {node_rule!r}")
     n = m + 1
     nodes = (np.arange(n) + 1.0) / (m + 2.0)
     if np.unique(nodes).size != n:

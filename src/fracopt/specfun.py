@@ -5,25 +5,28 @@ direct Taylor summation.  For strongly alternating arguments the double
 precision sum loses digits to cancellation (the partial sums pass through
 terms much larger than the result), so the summation automatically re-runs
 at elevated working precision whenever the estimated cancellation error
-would exceed the accuracy target.  Arguments beyond the configured radius
-are rejected outright rather than silently degraded.
+would exceed the accuracy target.  Arguments whose series needs more than
+the term budget, or whose positive sum overflows, are rejected with a typed
+error rather than silently degraded.
 """
 
 from __future__ import annotations
 
 import math
 import threading
-from dataclasses import dataclass
 
 import mpmath
 
 from .errors import GammaPoleError, MittagLefflerError
 
-__all__ = ["MlSeriesConfig", "gamma", "mittag_leffler"]
+__all__ = ["gamma", "mittag_leffler"]
 
 # Absolute accuracy the series targets; well inside the documented 1e-10.
 _ACCURACY_GOAL = 1e-12
 _EPS = 2.220446049250313e-16
+# stop after two consecutive terms below _TERM_TOLERANCE; reject beyond _MAX_TERMS
+_TERM_TOLERANCE = 1e-15
+_MAX_TERMS = 10000
 
 
 def gamma(x: float) -> float:
@@ -44,29 +47,6 @@ def _recip_gamma(x: float) -> float:
         return 0.0
     return 1.0 / math.gamma(x)
 
-
-@dataclass(frozen=True)
-class MlSeriesConfig:
-    """Evaluation control for the Mittag-Leffler series.
-
-    ``argument_switch_radius`` bounds |z|: beyond it the series is rejected
-    (cost and term count grow without a matching accuracy guarantee).
-    """
-
-    term_tolerance: float = 1e-15
-    max_terms: int = 10000
-    argument_switch_radius: float = 50.0
-
-    def __post_init__(self) -> None:
-        if not self.term_tolerance > 0:
-            raise ValueError("term_tolerance must be > 0")
-        if self.max_terms < 1:
-            raise ValueError("max_terms must be >= 1")
-        if not self.argument_switch_radius > 0:
-            raise ValueError("argument_switch_radius must be > 0")
-
-
-_DEFAULT_CONFIG = MlSeriesConfig()
 
 # Gamma(alpha*k + beta) tables for the elevated-precision path, keyed by
 # (alpha, beta, precision).  Rebinding a longer tuple is atomic under the
@@ -94,17 +74,17 @@ def _mp_gamma_table(alpha: float, beta: float, dps: int, n: int) -> tuple:
     return table
 
 
-def _scan_terms(alpha: float, beta: float, z: float, cfg: MlSeriesConfig):
+def _scan_terms(alpha: float, beta: float, z: float):
     """Locate the series' peak term and stopping index in log space.
 
     Works entirely with lgamma, so it never overflows.  Returns
-    (n_terms, max_log_term) or raises if max_terms is hit first.
+    (n_terms, max_log_term) or raises if the term budget is hit first.
     """
     log_abs_z = math.log(abs(z))
     max_log = 0.0  # k = 0 term is 1/Gamma(beta); close enough for scaling
-    log_tol = math.log(cfg.term_tolerance)
+    log_tol = math.log(_TERM_TOLERANCE)
     small_run = 0
-    for k in range(cfg.max_terms):
+    for k in range(_MAX_TERMS):
         log_term = k * log_abs_z - math.lgamma(alpha * k + beta)
         if log_term > max_log:
             max_log = log_term
@@ -116,7 +96,7 @@ def _scan_terms(alpha: float, beta: float, z: float, cfg: MlSeriesConfig):
             small_run = 0
     raise MittagLefflerError(
         f"series for E_({alpha:g},{beta:g})({z:g}) needs more than "
-        f"{cfg.max_terms} terms",
+        f"{_MAX_TERMS} terms",
         achieved_tolerance=math.exp(min(log_term, 700.0)),
     )
 
@@ -158,16 +138,13 @@ def mittag_leffler(
     alpha: float,
     beta: float,
     z: float,
-    cfg: MlSeriesConfig | None = None,
 ) -> float:
     """Two-parameter Mittag-Leffler function E_{alpha,beta}(z) for real z.
 
-    Raises :class:`MittagLefflerError` when |z| exceeds the configured
-    radius or the series does not reach the term tolerance within
-    ``max_terms``.
+    Raises :class:`MittagLefflerError` when the series does not reach the
+    term tolerance within the term budget (large |z|, small alpha) or, for
+    z > 0, when the value overflows double precision.
     """
-    if cfg is None:
-        cfg = _DEFAULT_CONFIG
     alpha = float(alpha)
     beta = float(beta)
     z = float(z)
@@ -177,14 +154,8 @@ def mittag_leffler(
         raise ValueError(f"beta must be > 0, got {beta:g}")
     if z == 0.0:
         return 1.0 / math.gamma(beta)
-    if abs(z) > cfg.argument_switch_radius:
-        raise MittagLefflerError(
-            f"|z| = {abs(z):g} exceeds the series radius "
-            f"{cfg.argument_switch_radius:g}",
-            achieved_tolerance=math.inf,
-        )
 
-    n_terms, max_log_term = _scan_terms(alpha, beta, z, cfg)
+    n_terms, max_log_term = _scan_terms(alpha, beta, z)
     if z > 0:
         # positive series never cancels, but the value itself can overflow
         if max_log_term > 700.0:

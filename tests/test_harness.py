@@ -61,6 +61,19 @@ def small_spec(name="small", restarts=1):
     )
 
 
+def count_run_fctm(monkeypatch) -> list:
+    """Patch the harness's run_fctm to record each call; returns the call list."""
+    calls = []
+    run_fctm = harness.run_fctm
+
+    def counted(*args):
+        calls.append(args)
+        return run_fctm(*args)
+
+    monkeypatch.setattr(harness, "run_fctm", counted)
+    return calls
+
+
 class TestSpecParsing:
     def test_roundtrip(self, tmp_path):
         path = tmp_path / "demo.ini"
@@ -117,6 +130,11 @@ class TestSpecParsing:
     def test_unknown_problem_kind(self):
         with pytest.raises(ConfigError):
             ProblemSpec(kind="rosenbrock")
+
+    @pytest.mark.parametrize("path", sorted(SPECS.glob("*.ini")), ids=lambda p: p.name)
+    def test_shipped_spec_parses(self, path):
+        spec = parse_spec_file(path)
+        assert spec.name == path.stem and spec.methods
 
 
 class TestRunExperiment:
@@ -201,6 +219,11 @@ class TestReproduceTargets:
         values = np.array([float(r.split(",")[1]) for r in rows])
         assert np.all(np.diff(values) <= 0.0)  # monotone nonincreasing
 
+    def test_fig4_solves_each_cell_once(self, tmp_path, monkeypatch):
+        calls = count_run_fctm(monkeypatch)
+        assert main(["--out", str(tmp_path), "reproduce", "fig4"]) == EXIT_OK
+        assert len(calls) == 5
+
     def test_unknown_target(self, tmp_path):
         from fracopt.harness import reproduce
 
@@ -213,7 +236,7 @@ class TestDominantModeTarget:
         a = dominant_mode_target(10)
         b = dominant_mode_target(10)
         assert np.array_equal(a, b)
-        # orthonormal mode mix: norm is sqrt(scale^2 + mix^2)
+        # orthonormal mode mix 0.7 v1 + 0.1 v4
         assert np.linalg.norm(a) == pytest.approx(math.sqrt(0.7**2 + 0.1**2), rel=1e-10)
 
 
@@ -227,9 +250,29 @@ class TestCli:
         assert "final_metric" in capsys.readouterr().out
 
     def test_config_error_exit_code(self, tmp_path):
+        gdm = "[method.gdm]\nmethod = gdm\nomega = 0.1\nk_max = 5\n"
+        quadratic = "[experiment]\nproblem = quadratic\n"
+        bad_specs = [
+            quadratic,  # no methods
+            quadratic + gdm + gdm,  # duplicate section
+            quadratic + gdm + "omega = 0.2\n",  # duplicate key
+            "problem = quadratic\n" + gdm,  # no section header
+            "[experiment]\nproblem = thomson\ncharges = 1\n" + gdm,
+            "[experiment]\nproblem = vandermonde\ndegree = 0\n" + gdm,
+            "[experiment]\nproblem = vandermonde\ndegree = 3\nu0 = 0, 0\n" + gdm,
+            "[experiment]\nproblem = thomson\nu0 = 0, 0\n" + gdm,
+            quadratic + "u0 = 1.0, 5.0\n" + gdm,
+            quadratic + "u0 = 1%\n" + gdm,  # broken interpolation
+            quadratic + gdm.replace("gdm]", "a/b]"),
+            quadratic + gdm.replace("gdm]", "a\\b]"),
+            quadratic + gdm.replace("gdm]", "]"),
+            quadratic + "name = a/b\n" + gdm,
+        ]
         path = tmp_path / "bad.ini"
-        path.write_text("[experiment]\nproblem = quadratic\n")  # no methods
-        assert main(["--out", str(tmp_path), "run", str(path)]) == EXIT_CONFIG
+        for text in bad_specs:
+            path.write_text(text)
+            assert main(["--out", str(tmp_path / "out"), "run", str(path)]) == EXIT_CONFIG, text
+        assert not (tmp_path / "out").exists()
 
     def test_unknown_reproduce_target_rejected_by_parser(self):
         with pytest.raises(SystemExit):
@@ -290,6 +333,27 @@ class TestTypedFailures:
         labels = [r.split(",")[1] for r in
                   (tmp_path / "table2__best.csv").read_text().splitlines()[2:]]
         assert labels == ["fctm-a0.7"] * 4
+
+    def test_table2_solves_each_cell_once(self, tmp_path, monkeypatch, small_table2):
+        calls = count_run_fctm(monkeypatch)
+        assert main(["--out", str(tmp_path), "reproduce", "table2"]) == EXIT_OK
+        assert len(calls) == 8  # four N, two FCTM restarts each
+        assert all((tmp_path / f"table2__geometry_n{n}.csv").exists() for n in (4, 5, 6, 12))
+
+    def test_fig4_diverged_cell_skipped(self, tmp_path, monkeypatch):
+        run_fctm = harness.run_fctm
+
+        def order_15_diverges(objective, u0, cfg, stop):
+            if cfg.alpha == 1.5:
+                raise SolverDivergenceError(0.0)
+            return run_fctm(objective, u0, cfg, stop)
+
+        monkeypatch.setattr(harness, "run_fctm", order_15_diverges)
+        assert main(["--out", str(tmp_path), "reproduce", "fig4"]) == EXIT_DIVERGED
+        census = (tmp_path / "fig4__census.csv").read_text().splitlines()[1:]
+        assert [r.split(",")[0] for r in census] == \
+               ["fctm-a0.9", "fctm-a1", "fctm-a1.2", "fctm-a1.7"]
+        assert not (tmp_path / "fig4__energy__fctm-a1.5.csv").exists()
 
     def test_table2_geometry_from_completed_restart(self, tmp_path, monkeypatch, small_table2):
         run_fctm = harness.run_fctm

@@ -100,8 +100,6 @@ class TestVandermonde:
         with pytest.raises(ValueError):
             make_vandermonde(0)
         with pytest.raises(ValueError):
-            make_vandermonde(3, node_rule="chebyshev")
-        with pytest.raises(ValueError):
             make_vandermonde(3, u_true=np.ones(7))
 
 

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from fracopt.errors import GammaPoleError, MittagLefflerError
-from fracopt.specfun import MlSeriesConfig, gamma, mittag_leffler
+from fracopt.specfun import gamma, mittag_leffler
 
 SQRT_PI = 1.7724538509055160
 
@@ -69,23 +69,28 @@ class TestMittagLeffler:
         assert all(0.0 < v <= 1.0 for v in values)
         assert all(b < a for a, b in zip(values, values[1:]))
 
-    def test_radius_rejection(self):
-        with pytest.raises(MittagLefflerError):
-            mittag_leffler(0.9, 1.0, -60.0)
-        cfg = MlSeriesConfig(argument_switch_radius=10.0)
-        with pytest.raises(MittagLefflerError):
-            mittag_leffler(0.9, 1.0, -11.0, cfg)
+    def test_large_argument_exhausts_term_budget(self):
+        # small order: the terms peak too late for the term budget
+        with pytest.raises(MittagLefflerError, match="terms"):
+            mittag_leffler(0.3, 1.0, -60.0)
+
+    def test_large_argument_within_term_budget(self):
+        with mpmath.workdps(60):
+            ref = mpmath.nsum(
+                lambda k: mpmath.mpf(-60) ** k / mpmath.gamma(mpmath.mpf(0.9) * k + 1),
+                [0, mpmath.inf],
+            )
+        assert mittag_leffler(0.9, 1.0, -60.0) == pytest.approx(float(ref), abs=1e-10)
 
     def test_max_terms_exhaustion_reports_tolerance(self):
-        cfg = MlSeriesConfig(max_terms=20)
         with pytest.raises(MittagLefflerError) as err:
-            mittag_leffler(1.0, 1.0, -5.0, cfg)
+            mittag_leffler(0.5, 1.0, 50.0)
         assert math.isfinite(err.value.achieved_tolerance)
         assert err.value.achieved_tolerance > 1e-15
 
     def test_positive_overflow_rejected(self):
-        with pytest.raises(MittagLefflerError):
-            mittag_leffler(0.5, 1.0, 50.0, MlSeriesConfig(max_terms=100000))
+        with pytest.raises(MittagLefflerError, match="overflows"):
+            mittag_leffler(1.0, 1.0, 800.0)
 
     def test_large_positive_argument_within_range(self):
         assert mittag_leffler(1.0, 1.0, 20.0) == pytest.approx(math.exp(20.0), rel=1e-12)
@@ -111,9 +116,3 @@ class TestMittagLeffler:
             mittag_leffler(0.0, 1.0, 0.5)
         with pytest.raises(ValueError):
             mittag_leffler(0.9, -1.0, 0.5)
-        with pytest.raises(ValueError):
-            MlSeriesConfig(term_tolerance=0.0)
-        with pytest.raises(ValueError):
-            MlSeriesConfig(max_terms=0)
-        with pytest.raises(ValueError):
-            MlSeriesConfig(argument_switch_radius=-1.0)
