@@ -16,10 +16,13 @@ class GammaPoleError(FracoptError, ValueError):
 
 
 class MittagLefflerError(FracoptError):
-    """Series evaluation of E_{alpha,beta} did not converge to tolerance.
+    """E_{alpha,beta}(z) cannot be evaluated to tolerance in double precision.
 
+    Raised when the positive-argument series does not converge within its
+    term budget, when the value overflows, and for a non-finite argument.
     ``achieved_tolerance`` carries the magnitude of the last computed term
-    (inf on overflow) so callers can report how far off the request was.
+    (inf on overflow or a non-finite argument) so callers can report how
+    far off the request was.
     """
 
     def __init__(self, message: str, achieved_tolerance: float):

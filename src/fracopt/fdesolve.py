@@ -267,11 +267,8 @@ def linear_relaxation_solution(
     """
     alpha = float(_as_order(alpha))
     times = np.asarray(times, dtype=float)
-    out = np.empty_like(times)
-    for i, t in enumerate(times):
-        z = -rate * t**alpha
-        val = target + (u0 - target) * mittag_leffler(alpha, 1.0, z)
-        if alpha > 1 and v0 != 0.0:
-            val += v0 * t * mittag_leffler(alpha, 2.0, z)
-        out[i] = val
+    z = -rate * times**alpha
+    out = target + (u0 - target) * mittag_leffler(alpha, 1.0, z)
+    if alpha > 1 and v0 != 0.0:
+        out += v0 * times * mittag_leffler(alpha, 2.0, z)
     return out

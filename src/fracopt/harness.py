@@ -425,8 +425,7 @@ def _reproduce_fig4(out: Path, seed: int, workers: int):
         if r.result is None:
             continue  # diverged; the summary row says why
         diff = r.result.trace.states - 3.0
-        energy = EnergyTrace(times=r.result.trace.times,
-                             energies=np.sum(diff * diff, axis=1), eta=2.0)
+        energy = EnergyTrace(times=r.result.trace.times, energies=np.sum(diff * diff, axis=1))
         energy.to_csv(out / f"fig4__energy__{r.label}.csv")
         census_rows.append((r.label, r.alpha, oscillation_census(energy)))
     write_csv(out / "fig4__census.csv", ["label", "alpha", "local_minima"], census_rows)

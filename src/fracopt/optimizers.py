@@ -390,7 +390,6 @@ class EnergyTrace:
 
     times: np.ndarray
     energies: np.ndarray
-    eta: float
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "times", np.ascontiguousarray(self.times, dtype=float))
@@ -423,13 +422,11 @@ def stability_envelope_check(
     u_star = np.atleast_1d(np.asarray(u_star, dtype=float))
     diff = trace.states - u_star[None, :]
     energies = np.sum(diff * diff, axis=1)
-    energy = EnergyTrace(times=trace.times, energies=energies, eta=float(eta))
+    energy = EnergyTrace(times=trace.times, energies=energies)
     v0 = float(energies[0])
     if v0 == 0.0:
         return energy, bool(np.all(energies <= slack))
-    envelope = np.array(
-        [mittag_leffler(alpha, 1.0, -eta * t**alpha) for t in trace.times]
-    )
+    envelope = mittag_leffler(alpha, 1.0, -eta * trace.times**alpha)
     ok = bool(np.all(energies <= v0 * envelope + slack))
     return energy, ok
 

@@ -145,7 +145,7 @@ def test_criterion_4_stability_envelope_and_oscillations():
         res = run_fctm(QUAD, np.array([1.0]), fctm(alpha, 1.0, 1e-2, 20.0))
         diff = res.trace.states - 3.0
         energy = EnergyTrace(times=res.trace.times,
-                             energies=np.sum(diff * diff, axis=1), eta=2.0)
+                             energies=np.sum(diff * diff, axis=1))
         census = oscillation_census(energy)
         ok &= census >= 1
         details.append(f"a={alpha}: census {census}")

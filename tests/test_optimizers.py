@@ -292,9 +292,9 @@ class TestOscillationCensus:
         res = run_fctm(QUAD, np.array([1.0]), fctm_cfg(1.5, h=1e-2, t_end=20.0))
         diff = res.trace.states - 3.0
         energy = EnergyTrace(times=res.trace.times,
-                             energies=np.sum(diff * diff, axis=1), eta=2.0)
+                             energies=np.sum(diff * diff, axis=1))
         assert oscillation_census(energy) >= 1
 
     def test_constant_trace(self):
-        energy = EnergyTrace(times=np.arange(5.0), energies=np.ones(5), eta=1.0)
+        energy = EnergyTrace(times=np.arange(5.0), energies=np.ones(5))
         assert oscillation_census(energy) == 0

@@ -1,11 +1,16 @@
 from __future__ import annotations
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import mpmath
 import numpy as np
 import pytest
 
+import fracopt
 from fracopt.errors import GammaPoleError, MittagLefflerError
 from fracopt.specfun import gamma, mittag_leffler
 
@@ -69,10 +74,48 @@ class TestMittagLeffler:
         assert all(0.0 < v <= 1.0 for v in values)
         assert all(b < a for a, b in zip(values, values[1:]))
 
-    def test_large_argument_exhausts_term_budget(self):
-        # small order: the terms peak too late for the term budget
-        with pytest.raises(MittagLefflerError, match="terms"):
-            mittag_leffler(0.3, 1.0, -60.0)
+    def test_small_order_large_negative_argument(self):
+        # the series would need more than the term budget here; the contour
+        # inversion does not (reference: Talbot inversion at 40 digits)
+        assert mittag_leffler(0.3, 1.0, -60.0) == pytest.approx(0.01271499032058585, abs=1e-10)
+
+    @pytest.mark.parametrize("alpha", [0.1, 0.3, 0.5, 0.7, 0.9, 1.0, 1.2, 1.5, 1.7, 1.9, 2.0])
+    @pytest.mark.parametrize("beta", [1.0, 2.0])
+    def test_against_laplace_inversion_oracle(self, alpha, beta):
+        zs = (-1e-3, -0.5, -2.0, -4.9, -10.0, -31.7, -60.0, -100.0)
+        values = mittag_leffler(alpha, beta, np.array(zs))
+        with mpmath.workdps(40):
+            a = mpmath.mpf(alpha)
+            for z, value in zip(zs, values):
+                ref = mpmath.invertlaplace(lambda s: s ** (a - beta) / (s**a - z), 1, method="talbot")
+                assert abs(value - float(ref)) <= 1e-10, (z, value, ref)
+
+    @pytest.mark.parametrize("alpha", [0.3, 0.9, 1.0, 1.5, 2.0, 3.3])
+    def test_array_call_equals_scalar_calls(self, alpha, rng):
+        # every path in one array, longer than one evaluation block
+        z = np.concatenate((-(10.0 ** rng.uniform(-4.0, 2.5, 700)), rng.uniform(0.0, 3.0, 50),
+                            [0.0, -0.0, -0.5, 0.5]))
+        rng.shuffle(z)
+        values = mittag_leffler(alpha, 2.0, z)
+        scalars = [mittag_leffler(alpha, 2.0, x) for x in z.tolist()]
+        assert all(type(v) is float for v in scalars)
+        assert np.array_equal(values.view(np.int64), np.array(scalars).view(np.int64))
+        grid = mittag_leffler(alpha, 2.0, z[:12].reshape(3, 4))
+        assert grid.shape == (3, 4)
+        assert np.array_equal(grid.ravel(), values[:12])
+        assert type(mittag_leffler(alpha, 2.0, np.float64(-3.0))) is float
+
+    @pytest.mark.parametrize("z", [math.nan, math.inf, -math.inf])
+    def test_non_finite_argument_rejected(self, z):
+        with pytest.raises(MittagLefflerError, match="finite"):
+            mittag_leffler(0.9, 1.0, z)
+        with pytest.raises(MittagLefflerError, match="finite"):
+            mittag_leffler(0.9, 1.0, np.array([-1.0, z, 1.0]))
+
+    def test_negative_overflow_rejected(self):
+        # orders above 2 grow exponentially along the negative axis
+        with pytest.raises(MittagLefflerError, match="overflows"):
+            mittag_leffler(3.5, 1.0, -1e12)
 
     def test_large_argument_within_term_budget(self):
         with mpmath.workdps(60):
@@ -116,3 +159,13 @@ class TestMittagLeffler:
             mittag_leffler(0.0, 1.0, 0.5)
         with pytest.raises(ValueError):
             mittag_leffler(0.9, -1.0, 0.5)
+
+
+def test_runtime_import_leaves_out_mpmath():
+    # mpmath is a test dependency only: the package and its CLI must not load it
+    env = dict(os.environ, PYTHONPATH=str(Path(fracopt.__file__).resolve().parents[1]))
+    done = subprocess.run(
+        [sys.executable, "-c", "import fracopt.cli, sys; sys.exit('mpmath' in sys.modules)"],
+        env=env, timeout=120,
+    )
+    assert done.returncode == 0
