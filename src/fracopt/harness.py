@@ -32,9 +32,7 @@ from .optimizers import (
     RunResult,
     StoppingRule,
     oscillation_census,
-    run_fctm,
-    run_fgdm,
-    run_gdm,
+    run_restarts,
 )
 from .problems import (
     THOMSON_REFERENCE_ENERGIES,
@@ -172,34 +170,46 @@ def dominant_mode_target(degree: int) -> np.ndarray:
     return 0.7 * vt[0] + 0.1 * vt[3]
 
 
-def _build_problem(pspec: ProblemSpec, restart: int, base_seed: int):
-    """Returns (objective, u0)."""
+def _build_problem(pspec: ProblemSpec, restarts, base_seed: int):
+    """Returns (objective, starts), one start row per restart in ``restarts``."""
     if pspec.kind == "quadratic":
         obj = make_quadratic(pspec.c)
         u0 = np.array(pspec.u0 if pspec.u0 is not None else [1.0])
-        return obj, u0
-    if pspec.kind == "vandermonde":
+    elif pspec.kind == "vandermonde":
         dominant = pspec.target_rule == "dominant-modes"
         obj, _ = make_vandermonde(
             pspec.degree, u_true=dominant_mode_target(pspec.degree) if dominant else None)
         u0 = np.array(pspec.u0) if pspec.u0 is not None else np.zeros(pspec.degree + 1)
-        return obj, u0
-    obj, _ = make_thomson(pspec.charges)
-    seed = base_seed + _SEED_STRIDE * restart
-    return obj, random_sphere_configuration(pspec.charges, seed=seed)
+    else:
+        obj, _ = make_thomson(pspec.charges)
+        return obj, np.array([
+            random_sphere_configuration(pspec.charges, seed=base_seed + _SEED_STRIDE * r)
+            for r in restarts])
+    return obj, np.tile(u0, (len(restarts), 1))
 
 
-def _run_cell(spec: ExperimentSpec, mspec: MethodSpec, restart: int) -> RunResult:
-    objective, u0 = _build_problem(spec.problem, restart, spec.base_seed)
-    stop = StoppingRule(
-        epsilon=mspec.epsilon, k_max=mspec.k_max, thresholds=spec.thresholds
-    )
-    cfg = mspec.cfg
-    if cfg.method is Method.GDM:
-        return run_gdm(objective, u0, cfg, stop)
-    if cfg.method is Method.FGDM:
-        return run_fgdm(objective, float(np.atleast_1d(u0)[0]), cfg, stop)
-    return run_fctm(objective, u0, cfg, stop)
+def _run_method(spec: ExperimentSpec, mspec: MethodSpec) -> list[RunResult | FracoptError]:
+    """All restarts of one method as one stacked run.  If the stack fails,
+    its restarts rerun one by one, so each failure is recorded in its own
+    cell and the other restarts still complete."""
+    stop = StoppingRule(epsilon=mspec.epsilon, k_max=mspec.k_max, thresholds=spec.thresholds)
+
+    def solve(restarts):
+        objective, starts = _build_problem(spec.problem, restarts, spec.base_seed)
+        return run_restarts(objective, starts, mspec.cfg, stop)
+
+    try:
+        return solve(range(spec.restarts))
+    except FracoptError as exc:
+        if spec.restarts == 1:
+            return [exc]
+    outcomes: list[RunResult | FracoptError] = []
+    for restart in range(spec.restarts):
+        try:
+            outcomes.extend(solve([restart]))
+        except FracoptError as exc:
+            outcomes.append(exc)
+    return outcomes
 
 
 def _write_summary(path: Path, records: list[SummaryRecord],
@@ -220,50 +230,42 @@ def run_experiment(
 ) -> tuple[list[SummaryRecord], int]:
     """Execute every (method, restart) cell and write summary/trace CSVs.
 
-    A diverging cell is recorded with its error and does not abort the
+    Each method runs its restarts as one stacked job (see
+    :func:`run_restarts`); ``workers`` > 1 runs methods on threads.  A
+    diverging cell is recorded with its error and does not abort the
     batch; the returned exit code is EXIT_DIVERGED if any cell failed,
     EXIT_OK otherwise.
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    cells = [
-        (mi, mspec, restart)
-        for mi, mspec in enumerate(spec.methods)
-        for restart in range(spec.restarts)
-    ]
-
-    def work(cell):
-        mi, mspec, restart = cell
-        try:
-            result = _run_cell(spec, mspec, restart)
-            return mi, mspec, restart, result, None
-        except FracoptError as exc:
-            return mi, mspec, restart, None, exc
-
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            outcomes = list(pool.map(work, cells))
+            per_method = list(pool.map(lambda m: _run_method(spec, m), spec.methods))
     else:
-        outcomes = [work(c) for c in cells]
+        per_method = [_run_method(spec, m) for m in spec.methods]
 
     # alpha = 1 baseline metric per restart, for the ratio column
     first_alpha1 = next((i for i, m in enumerate(spec.methods) if m.cfg.alpha == 1.0), None)
-    baseline = {restart: result.final_metric for mi, _, restart, result, _ in outcomes
-                if mi == first_alpha1 and result is not None}
+    baseline = {} if first_alpha1 is None else {
+        restart: outcome.final_metric
+        for restart, outcome in enumerate(per_method[first_alpha1])
+        if isinstance(outcome, RunResult)}
 
     records: list[SummaryRecord] = []
     exit_code = EXIT_OK
-    for mi, mspec, restart, result, exc in outcomes:
+    cells = [(mspec, restart, outcome) for mspec, outcomes in zip(spec.methods, per_method)
+             for restart, outcome in enumerate(outcomes)]
+    for mspec, restart, result in cells:
         cfg = mspec.cfg
         cell = dict(problem=spec.problem.kind, label=mspec.label, method=cfg.method.value,
                     alpha=cfg.alpha, gain=cfg.omega if cfg.omega is not None else cfg.gain,
                     restart=restart)
-        if exc is not None:
+        if not isinstance(result, RunResult):
             exit_code = EXIT_DIVERGED
             records.append(SummaryRecord(
                 **cell, passages={t: None for t in spec.thresholds},
                 final_metric=math.nan, ratio_vs_alpha1=None,
-                field_evaluations=0, status=f"diverged: {exc}", wall_seconds=0.0,
+                field_evaluations=0, status=f"diverged: {result}", wall_seconds=0.0,
             ))
             continue
         base = baseline.get(restart)

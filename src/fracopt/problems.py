@@ -43,36 +43,55 @@ _COINCIDENCE_TOL = 1e-12
 class Objective:
     """Evaluatable cost with analytic gradient and optional known optimum.
 
-    ``progress_metric`` is the problem's progress statistic for stopping
-    and first-passage bookkeeping (distance to optimum, residual norm, or
-    raw energy).  ``polynomial`` is set for scalar objectives that admit
-    exact closed-form fractional derivatives.
+    ``f``, ``gradient`` and ``progress_metric`` take one state (d,) or a
+    stack of states (R, d).  For a state they return a float (``f``,
+    ``progress_metric``) or a (d,) array (``gradient``); for a stack, the
+    same per row, as an (R,) or (R, d) array, bit for bit equal to the
+    single-state calls.  ``progress_metric`` is the problem's progress
+    statistic for stopping and first-passage bookkeeping (distance to
+    optimum, residual norm, or raw energy).  ``polynomial`` is set for
+    scalar objectives that admit exact closed-form fractional derivatives.
     """
 
     name: str
     dimension: int
-    f: Callable[[np.ndarray], float]
+    f: Callable[[np.ndarray], float | np.ndarray]
     gradient: Callable[[np.ndarray], np.ndarray]
     known_optimum: np.ndarray | None = None
     known_minimum: float | None = None
-    progress_metric: Callable[[np.ndarray], float] | None = None
+    progress_metric: Callable[[np.ndarray], float | np.ndarray] | None = None
     polynomial: Polynomial | None = None
 
-    def metric(self, u: np.ndarray) -> float:
-        if self.progress_metric is not None:
-            return float(self.progress_metric(u))
-        return float(self.f(u))
+    def metric(self, u: np.ndarray) -> float | np.ndarray:
+        """Progress metric of a state as a float, or of a stack per row."""
+        value = (self.progress_metric if self.progress_metric is not None else self.f)(u)
+        return float(value) if np.ndim(u) == 1 else np.asarray(value, dtype=float)
+
+
+def _rowwise(fn: Callable[[np.ndarray], float | np.ndarray]):
+    """Extend a single-state function to stacks by calling it per row, for
+    problems whose batched BLAS calls would round differently."""
+    def stacked(u: np.ndarray):
+        u = np.asarray(u, dtype=float)
+        return fn(u) if u.ndim == 1 else np.array([fn(row) for row in u])
+    return stacked
 
 
 def make_quadratic(c: float) -> Objective:
     """f(u) = (u - c)^2 in one variable; optimum u* = c, f* = 0."""
     c = float(c)
 
+    # per row: a numpy scalar squares by pow(), an array by x * x
+    @_rowwise
     def f(u: np.ndarray) -> float:
         return float((u[0] - c) ** 2)
 
     def gradient(u: np.ndarray) -> np.ndarray:
-        return np.array([2.0 * (u[0] - c)])
+        return 2.0 * (np.asarray(u, dtype=float)[..., :1] - c)
+
+    def metric(u: np.ndarray) -> float | np.ndarray:
+        value = np.abs(np.asarray(u, dtype=float)[..., 0] - c)
+        return float(value) if value.ndim == 0 else value
 
     return Objective(
         name=f"quadratic(c={c:g})",
@@ -81,7 +100,7 @@ def make_quadratic(c: float) -> Objective:
         gradient=gradient,
         known_optimum=np.array([c]),
         known_minimum=0.0,
-        progress_metric=lambda u: abs(float(u[0]) - c),
+        progress_metric=metric,
         polynomial=Polynomial((1.0, -2.0 * c, c * c)),
     )
 
@@ -142,10 +161,13 @@ def make_vandermonde(
     )
     mat, tgt = spec.matrix, spec.target
 
+    # one matrix-vector product per state: gemm on a stack rounds differently
+    @_rowwise
     def f(u: np.ndarray) -> float:
         r = mat @ u - tgt
         return float(r @ r)
 
+    @_rowwise
     def gradient(u: np.ndarray) -> np.ndarray:
         return 2.0 * (mat.T @ (mat @ u - tgt))
 
@@ -156,7 +178,7 @@ def make_vandermonde(
         gradient=gradient,
         known_optimum=spec.u_true,
         known_minimum=0.0,
-        progress_metric=spec.residual_norm,
+        progress_metric=_rowwise(spec.residual_norm),
     )
     return objective, spec
 
@@ -200,46 +222,55 @@ def make_thomson(n_charges: int) -> tuple[Objective, ThomsonSpec]:
     """Coulomb energy sum_{i<j} 1/d_ij over the 2N spherical angles.
 
     The analytic gradient follows from the chain rule through the angle
-    parameterization.  Coincident charges raise
-    :class:`SingularPairError` with the offending pair.
+    parameterization.  ``f`` and ``gradient`` take one parameter vector
+    (2N,) or a stack (R, 2N) and broadcast over the leading axis; every
+    row of a stack gets the same bits as its single-state call.
+    Coincident charges raise :class:`SingularPairError` with the offending
+    pair (of the first such row of a stack).
     """
     if n_charges < 2:
         raise ValueError("need at least 2 charges")
     spec = ThomsonSpec(charges=n_charges)
     n = n_charges
-    iu = np.triu_indices(n, k=1)
+    iu0, iu1 = np.triu_indices(n, k=1)
+    diag = np.arange(n)
 
-    def _dots_and_check(u: np.ndarray):
-        theta, phi = spec.split(u)
+    def _geometry(u: np.ndarray):
+        u = np.asarray(u, dtype=float)
+        theta, phi = u[..., :n], u[..., n:]
         sin_phi, cos_phi = np.sin(phi), np.cos(phi)
-        dth = theta[:, None] - theta[None, :]
-        dot = sin_phi[:, None] * sin_phi[None, :] * np.cos(dth) \
-            + cos_phi[:, None] * cos_phi[None, :]
-        d2 = np.maximum(2.0 - 2.0 * dot, 0.0)
-        dist = np.sqrt(d2)
-        small = dist[iu] < _COINCIDENCE_TOL
-        if np.any(small):
-            which = np.argmax(small)
-            raise SingularPairError(int(iu[0][which]), int(iu[1][which]))
-        return theta, phi, sin_phi, cos_phi, dth, dist
+        dth = theta[..., None] - theta[..., None, :]
+        cos_dth = np.cos(dth)
+        sin_sin = sin_phi[..., None] * sin_phi[..., None, :]
+        dot = sin_sin * cos_dth + cos_phi[..., None] * cos_phi[..., None, :]
+        dist = np.sqrt(np.maximum(2.0 - 2.0 * dot, 0.0))
+        # a contiguous copy, so each row is summed by numpy's pairwise rule
+        # exactly as a single state's pairs are
+        pairs = np.ascontiguousarray(dist[..., iu0, iu1])
+        small = pairs < _COINCIDENCE_TOL
+        if small.any():
+            which = int(np.argmax(small.reshape(-1))) % iu0.size
+            raise SingularPairError(int(iu0[which]), int(iu1[which]))
+        return sin_phi, cos_phi, dth, cos_dth, sin_sin, dist, pairs
 
-    def f(u: np.ndarray) -> float:
-        dist = _dots_and_check(u)[5]
-        return float(np.sum(1.0 / dist[iu]))
+    def f(u: np.ndarray) -> float | np.ndarray:
+        energy = (1.0 / _geometry(u)[-1]).sum(axis=-1)
+        return float(energy) if energy.ndim == 0 else energy
 
     def gradient(u: np.ndarray) -> np.ndarray:
-        theta, phi, sin_phi, cos_phi, dth, dist = _dots_and_check(u)
-        inv_d3 = np.zeros_like(dist)
-        mask = dist > 0
-        inv_d3[mask] = dist[mask] ** -3
-        np.fill_diagonal(inv_d3, 0.0)
-        # d(1/d_ij)/dq = (d dot_ij / dq) / d_ij^3
-        ddot_dtheta = -sin_phi[:, None] * sin_phi[None, :] * np.sin(dth)
-        ddot_dphi = cos_phi[:, None] * sin_phi[None, :] * np.cos(dth) \
-            - sin_phi[:, None] * cos_phi[None, :]
-        g_theta = np.sum(ddot_dtheta * inv_d3, axis=1)
-        g_phi = np.sum(ddot_dphi * inv_d3, axis=1)
-        return np.concatenate((g_theta, g_phi))
+        sin_phi, cos_phi, dth, cos_dth, sin_sin, dist, _ = _geometry(u)
+        # only the diagonal can be 0 (coincident pairs raised above)
+        dist[..., diag, diag] = 1.0
+        inv_d3 = dist ** -3
+        inv_d3[..., diag, diag] = 0.0
+        # d(1/d_ij)/dq = (d dot_ij / dq) / d_ij^3, with d dot_ij / d theta_i
+        # = -sin_sin * sin(dth); negating the sum gives the same bits as
+        # summing the negated terms
+        ddot_dphi = cos_phi[..., None] * sin_phi[..., None, :] * cos_dth \
+            - sin_phi[..., None] * cos_phi[..., None, :]
+        g_theta = -(sin_sin * np.sin(dth) * inv_d3).sum(axis=-1)
+        g_phi = (ddot_dphi * inv_d3).sum(axis=-1)
+        return np.concatenate((g_theta, g_phi), axis=-1)
 
     objective = Objective(
         name=f"thomson(N={n})",

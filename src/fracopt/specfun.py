@@ -238,8 +238,15 @@ def _contour(alpha: float, beta: float, z: float):
 
 
 def _invert(alpha: float, beta: float, z: np.ndarray) -> np.ndarray:
-    """E_{alpha,beta}(z) for z < -1/2 by contour inversion plus residues."""
-    contours = [_contour(alpha, beta, x) for x in z.tolist()]
+    """E_{alpha,beta}(z) for z < -1/2 by contour inversion plus residues.
+
+    For alpha <= 1 there are no poles, so one contour serves every z and
+    the node factors other than 1/(s^alpha - z) are computed once.
+    """
+    if alpha <= 1:
+        contours = [_contour(alpha, beta, -1.0)]
+    else:
+        contours = [_contour(alpha, beta, x) for x in z.tolist()]
     mu = np.array([c[0] for c in contours])[:, None]
     h = np.array([c[1] for c in contours])
     n = np.array([c[2] for c in contours])
@@ -254,6 +261,8 @@ def _invert(alpha: float, beta: float, z: np.ndarray) -> np.ndarray:
     terms = np.where(k <= n[:, None], terms, 0.0)
     # summed in node order, so zero padding leaves each point's value as is
     values = np.cumsum(terms, axis=1)[:, -1] * h / (2.0 * math.pi)
+    if alpha <= 1:
+        return values
     for i, (x, (*_, poles)) in enumerate(zip(z.tolist(), contours)):
         # each pole s and its conjugate add 2 Re(s^(1-beta) e^s) / alpha
         try:

@@ -61,17 +61,59 @@ def small_spec(name="small", restarts=1):
     )
 
 
-def count_run_fctm(monkeypatch) -> list:
-    """Patch the harness's run_fctm to record each call; returns the call list."""
+def count_fctm_stacks(monkeypatch) -> list:
+    """Patch the harness's run_restarts to record the number of starts of
+    each FCTM call; returns that list."""
     calls = []
-    run_fctm = harness.run_fctm
+    run_restarts = harness.run_restarts
 
-    def counted(*args):
-        calls.append(args)
-        return run_fctm(*args)
+    def counted(objective, starts, cfg, stop):
+        if cfg.method is Method.FCTM:
+            calls.append(len(starts))
+        return run_restarts(objective, starts, cfg, stop)
 
-    monkeypatch.setattr(harness, "run_fctm", counted)
+    monkeypatch.setattr(harness, "run_restarts", counted)
     return calls
+
+
+def thomson_spec(n: int, restarts: int = 3) -> ExperimentSpec:
+    methods = (
+        MethodSpec("gdm", OptimizerConfig(method=Method.GDM, omega=0.005), k_max=300),
+        MethodSpec("fctm-a0.7", OptimizerConfig(
+            method=Method.FCTM, alpha=0.7, gain=1.0, h=0.005, t_end=1.5)),
+    )
+    return ExperimentSpec(name=f"th{n}", problem=ProblemSpec(kind="thomson", charges=n),
+                          methods=methods, thresholds=(50.0, 4.0), restarts=restarts,
+                          base_seed=11)
+
+
+def one_by_one(monkeypatch) -> None:
+    """Patch the harness's run_restarts to solve each start on its own."""
+    run_restarts = harness.run_restarts
+
+    def single(objective, starts, cfg, stop):
+        return [run_restarts(objective, u0[None, :], cfg, stop)[0] for u0 in starts]
+
+    monkeypatch.setattr(harness, "run_restarts", single)
+
+
+def output_bytes(out: Path) -> dict[str, bytes]:
+    """Every output file but the timing sidecar, by name."""
+    return {p.name: p.read_bytes() for p in sorted(out.iterdir())
+            if not p.name.endswith("__timing.csv")}
+
+
+def fail_when(monkeypatch, fails, error) -> None:
+    """Patch the harness's run_restarts to raise ``error`` for every call
+    where ``fails(starts, cfg)`` holds."""
+    run_restarts = harness.run_restarts
+
+    def patched(objective, starts, cfg, stop):
+        if fails(starts, cfg):
+            raise error
+        return run_restarts(objective, starts, cfg, stop)
+
+    monkeypatch.setattr(harness, "run_restarts", patched)
 
 
 class TestSpecParsing:
@@ -202,6 +244,41 @@ class TestRunExperiment:
         assert (tmp_path / "a" / "par__summary.csv").read_bytes() == \
                (tmp_path / "b" / "par__summary.csv").read_bytes()
 
+    @pytest.mark.parametrize("n", [4, 12])
+    def test_stacked_restarts_match_one_by_one(self, tmp_path, monkeypatch, n):
+        spec = thomson_spec(n)
+        stacked, code = run_experiment(spec, tmp_path / "stacked")
+        assert code == EXIT_OK
+        one_by_one(monkeypatch)
+        single, _ = run_experiment(spec, tmp_path / "single")
+        assert [r.field_evaluations for r in stacked] == [r.field_evaluations for r in single]
+        assert output_bytes(tmp_path / "stacked") == output_bytes(tmp_path / "single")
+        assert len(output_bytes(tmp_path / "stacked")) == 7  # 6 traces and the summary
+
+    def test_coincident_start_diverges_alone(self, tmp_path, monkeypatch):
+        sample = harness.random_sphere_configuration
+
+        def second_start_coincident(n_charges, seed):
+            u = sample(n_charges, seed)
+            if seed == 11 + harness._SEED_STRIDE:  # restart 1
+                u[[1, n_charges + 1]] = u[[0, n_charges]]
+            return u
+
+        monkeypatch.setattr(harness, "random_sphere_configuration", second_start_coincident)
+        spec = thomson_spec(4)
+        records, code = run_experiment(spec, tmp_path / "stacked")
+        assert code == EXIT_DIVERGED
+        statuses = {(r.label, r.restart): r.status for r in records}
+        for label in ("gdm", "fctm-a0.7"):
+            assert statuses[label, 1] == \
+                "diverged: coincident charges: pair (0, 1) has zero distance"
+            assert statuses[label, 0] == statuses[label, 2] == "completed"
+        one_by_one(monkeypatch)
+        run_experiment(spec, tmp_path / "single")
+        stacked = output_bytes(tmp_path / "stacked")
+        assert stacked == output_bytes(tmp_path / "single")
+        assert "th4__gdm__r1.csv" not in stacked and "th4__gdm__r2.csv" in stacked
+
 
 class TestReproduceTargets:
     def test_fig4_energy_traces(self, tmp_path):
@@ -220,9 +297,9 @@ class TestReproduceTargets:
         assert np.all(np.diff(values) <= 0.0)  # monotone nonincreasing
 
     def test_fig4_solves_each_cell_once(self, tmp_path, monkeypatch):
-        calls = count_run_fctm(monkeypatch)
+        calls = count_fctm_stacks(monkeypatch)
         assert main(["--out", str(tmp_path), "reproduce", "fig4"]) == EXIT_OK
-        assert len(calls) == 5
+        assert calls == [1] * 5
 
     def test_unknown_target(self, tmp_path):
         from fracopt.harness import reproduce
@@ -325,30 +402,21 @@ class TestTypedFailures:
         assert len(rows) == 10 and all(",diverged: " in r for r in rows)
 
     def test_table2_method_with_every_restart_diverged(self, tmp_path, monkeypatch, small_table2):
-        def diverging(objective, u0, cfg, stop):
-            raise IterationDivergenceError(1)
-
-        monkeypatch.setattr(harness, "run_gdm", diverging)
+        fail_when(monkeypatch, lambda starts, cfg: cfg.method is Method.GDM,
+                  IterationDivergenceError(1))
         assert main(["--out", str(tmp_path), "reproduce", "table2"]) == EXIT_DIVERGED
         labels = [r.split(",")[1] for r in
                   (tmp_path / "table2__best.csv").read_text().splitlines()[2:]]
         assert labels == ["fctm-a0.7"] * 4
 
     def test_table2_solves_each_cell_once(self, tmp_path, monkeypatch, small_table2):
-        calls = count_run_fctm(monkeypatch)
+        calls = count_fctm_stacks(monkeypatch)
         assert main(["--out", str(tmp_path), "reproduce", "table2"]) == EXIT_OK
-        assert len(calls) == 8  # four N, two FCTM restarts each
+        assert calls == [2] * 4  # four N, both FCTM restarts in one call each
         assert all((tmp_path / f"table2__geometry_n{n}.csv").exists() for n in (4, 5, 6, 12))
 
     def test_fig4_diverged_cell_skipped(self, tmp_path, monkeypatch):
-        run_fctm = harness.run_fctm
-
-        def order_15_diverges(objective, u0, cfg, stop):
-            if cfg.alpha == 1.5:
-                raise SolverDivergenceError(0.0)
-            return run_fctm(objective, u0, cfg, stop)
-
-        monkeypatch.setattr(harness, "run_fctm", order_15_diverges)
+        fail_when(monkeypatch, lambda starts, cfg: cfg.alpha == 1.5, SolverDivergenceError(0.0))
         assert main(["--out", str(tmp_path), "reproduce", "fig4"]) == EXIT_DIVERGED
         census = (tmp_path / "fig4__census.csv").read_text().splitlines()[1:]
         assert [r.split(",")[0] for r in census] == \
@@ -356,14 +424,12 @@ class TestTypedFailures:
         assert not (tmp_path / "fig4__energy__fctm-a1.5.csv").exists()
 
     def test_table2_geometry_from_completed_restart(self, tmp_path, monkeypatch, small_table2):
-        run_fctm = harness.run_fctm
+        def first_restart(starts, cfg):
+            first = random_sphere_configuration(starts.shape[1] // 2, seed=0)
+            return cfg.method is Method.FCTM and any(np.array_equal(u0, first) for u0 in starts)
 
-        def first_restart_diverges(objective, u0, cfg, stop):
-            if np.array_equal(u0, random_sphere_configuration(u0.size // 2, seed=0)):
-                raise SolverDivergenceError(0.0)
-            return run_fctm(objective, u0, cfg, stop)
-
-        monkeypatch.setattr(harness, "run_fctm", first_restart_diverges)
+        # the stack of both restarts fails, then restart 0 alone
+        fail_when(monkeypatch, first_restart, SolverDivergenceError(0.0))
         assert main(["--out", str(tmp_path), "reproduce", "table2"]) == EXIT_DIVERGED
         rows = [r.split(",") for r in
                 (tmp_path / "table2__best.csv").read_text().splitlines()[2:]]

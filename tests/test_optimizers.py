@@ -23,9 +23,16 @@ from fracopt.optimizers import (
     run_fctm,
     run_fgdm,
     run_gdm,
+    run_restarts,
     stability_envelope_check,
 )
-from fracopt.problems import Objective, make_quadratic, make_vandermonde
+from fracopt.problems import (
+    Objective,
+    make_quadratic,
+    make_thomson,
+    make_vandermonde,
+    random_sphere_configuration,
+)
 
 QUAD = make_quadratic(3.0)
 FIXED_WINDOW = MemoryWindow(lower_limit=0.0)
@@ -178,10 +185,10 @@ class TestFgdm:
         # same quadratic but without the polynomial shortcut
         sampled = Objective(
             name="sampled", dimension=1,
-            f=lambda u: float((u[0] - 3.0) ** 2),
-            gradient=lambda u: np.array([2.0 * (u[0] - 3.0)]),
+            f=lambda u: np.sum((u - 3.0) ** 2, axis=-1),
+            gradient=lambda u: 2.0 * (u - 3.0),
             known_optimum=np.array([3.0]),
-            progress_metric=lambda u: abs(float(u[0]) - 3.0),
+            progress_metric=lambda u: np.abs(u[..., 0] - 3.0),
         )
         h = 1e-2
         window = MemoryWindow(lower_limit=0.0, memory_length=h, step=h / 50.0)
@@ -260,6 +267,74 @@ class TestFctm:
         res = run_fctm(QUAD, np.array([1.0]), fctm_cfg(1.0, h=1e-3, t_end=10.0), stop)
         times = [res.first_passage[t] for t in (0.5, 0.1, 0.01, 0.001)]
         assert times == sorted(times)
+
+
+def assert_same_run(stacked, single):
+    """Two RunResults with the same bits in every recorded number."""
+    assert stacked.first_passage == single.first_passage
+    assert np.float64(stacked.final_metric).tobytes() == np.float64(single.final_metric).tobytes()
+    assert stacked.converged_to.tobytes() == single.converged_to.tobytes()
+    assert stacked.converged == single.converged
+    assert stacked.cost.field_evaluations == single.cost.field_evaluations
+    if single.trace is not None:
+        assert stacked.trace.times.tobytes() == single.trace.times.tobytes()
+        assert stacked.trace.states.tobytes() == single.trace.states.tobytes()
+    else:
+        assert stacked.iterations.iterates.tobytes() == single.iterations.iterates.tobytes()
+        assert stacked.iterations.costs.tobytes() == single.iterations.costs.tobytes()
+
+
+class TestRestarts:
+    """run_restarts: each row of a stack equals its one-start run."""
+
+    THOMSON, _ = make_thomson(4)
+    STARTS = np.array([random_sphere_configuration(4, seed=s) for s in (1, 2, 3)])
+
+    @pytest.mark.parametrize("alpha", [0.7, 1.3])
+    def test_fctm_stack_equals_one_start_runs(self, alpha):
+        cfg = fctm_cfg(alpha, h=0.005, t_end=1.5, v0=np.linspace(-0.1, 0.1, 8) if alpha > 1 else None)
+        stop = StoppingRule(thresholds=(5.0, 4.0))
+        results = run_restarts(self.THOMSON, self.STARTS, cfg, stop)
+        assert len(results) == 3
+        for u0, res in zip(self.STARTS, results):
+            assert_same_run(res, run_fctm(self.THOMSON, u0, cfg, stop))
+
+    def test_gdm_rows_stop_at_different_k(self):
+        cfg = OptimizerConfig(method=Method.GDM, omega=0.1)
+        stop = StoppingRule(epsilon=1e-3, k_max=500, thresholds=(0.1, 0.01))
+        starts = np.array([[1.0], [2.9], [-4.0], [3.0]])
+        results = run_restarts(QUAD, starts, cfg, stop)
+        assert len({len(r.iterations) for r in results}) == 4
+        assert results[3].cost.field_evaluations == 0  # at the optimum from the start
+        for u0, res in zip(starts, results):
+            assert res.cost.field_evaluations == len(res.iterations) - 1
+            assert_same_run(res, run_gdm(QUAD, u0, cfg, stop))
+
+    def test_thomson_gdm_rows_stop_under_epsilon(self):
+        cfg = OptimizerConfig(method=Method.GDM, omega=0.005)
+        # a cap far beyond memory: the traces grow only as far as each row runs
+        stop = StoppingRule(epsilon=3.70, k_max=10**9)
+        results = run_restarts(self.THOMSON, self.STARTS, cfg, stop)
+        assert len({len(r.iterations) for r in results}) == 3
+        assert all(r.converged and r.final_metric < 3.70 for r in results)
+        for u0, res in zip(self.STARTS, results):
+            assert_same_run(res, run_gdm(self.THOMSON, u0, cfg, stop))
+
+    def test_diverging_row_fails_the_stack(self):
+        cfg = OptimizerConfig(method=Method.GDM, omega=1.1)
+        with pytest.raises(IterationDivergenceError):
+            run_restarts(QUAD, np.array([[3.0], [1.0]]), cfg, StoppingRule(k_max=30000))
+
+    def test_cgm_and_fgdm_run_rows_one_at_a_time(self):
+        starts = np.array([[1.0], [2.0]])
+        cgm = OptimizerConfig(method=Method.CGM, gain=1.0, h=0.01, t_end=2.0)
+        fgdm = OptimizerConfig(method=Method.FGDM, alpha=0.9, omega=0.05,
+                               fgdm_operator="caputo", window=FIXED_WINDOW)
+        stop = StoppingRule(k_max=200)
+        for u0, res in zip(starts, run_restarts(QUAD, starts, cgm, stop)):
+            assert_same_run(res, run_fctm(QUAD, u0, cgm, stop))
+        for u0, res in zip(starts, run_restarts(QUAD, starts, fgdm, stop)):
+            assert_same_run(res, run_fgdm(QUAD, float(u0[0]), fgdm, stop))
 
 
 class TestStabilityEnvelope:

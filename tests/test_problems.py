@@ -47,6 +47,17 @@ class TestQuadratic:
         assert obj.metric(np.array([1.0])) == 2.0
 
 
+def test_quadratic_and_vandermonde_stacks_keep_single_state_bits(rng):
+    quad = make_quadratic(3.0)
+    vand, _ = make_vandermonde(10)
+    for obj, stack in ((quad, rng.normal(3.0, 2.0, (50, 1))), (vand, rng.normal(0.0, 1.0, (50, 11)))):
+        f, g, m = obj.f(stack), obj.gradient(stack), obj.metric(stack)
+        for i, u in enumerate(stack):
+            assert np.float64(obj.f(u)).tobytes() == f[i].tobytes()
+            assert obj.gradient(u).tobytes() == g[i].tobytes()
+            assert np.float64(obj.metric(u)).tobytes() == m[i].tobytes()
+
+
 class TestVandermonde:
     def test_exact_solve_degree_one(self):
         obj, spec = make_vandermonde(1, u_true=np.array([1.0, 0.0]))
@@ -150,6 +161,27 @@ class TestThomson:
         with pytest.raises(SingularPairError) as err:
             obj.f(u)
         assert err.value.pair == (0, 1)
+
+    def test_coincident_pair_in_a_stack(self):
+        obj, _ = make_thomson(3)
+        good = random_sphere_configuration(3, seed=1)
+        bad = np.concatenate(([0.3, 1.0, 0.3], [2.0, 1.0, 2.0]))
+        with pytest.raises(SingularPairError) as err:
+            obj.gradient(np.stack((good, bad, good)))
+        assert err.value.pair == (0, 2)
+
+    @pytest.mark.parametrize("n", [2, 4, 5, 12])
+    def test_stack_rows_equal_single_states_bitwise(self, n, rng):
+        obj, _ = make_thomson(n)
+        starts = [random_sphere_configuration(n, seed=int(s)) for s in rng.integers(0, 10**6, 3)]
+        # a long stack, as the stacked metric sees a trace
+        stack = np.concatenate([u + rng.normal(0.0, 1e-2, (100, 2 * n)) for u in starts])
+        f, g, m = obj.f(stack), obj.gradient(stack), obj.metric(stack)
+        assert f.shape == m.shape == (300,) and g.shape == (300, 2 * n)
+        for i, u in enumerate(stack):
+            assert np.float64(obj.f(u)).tobytes() == f[i].tobytes()
+            assert obj.gradient(u).tobytes() == g[i].tobytes()
+            assert np.float64(obj.metric(u)).tobytes() == m[i].tobytes()
 
     def test_pole_proximity_diagnostic(self):
         _, spec = make_thomson(3)
