@@ -84,7 +84,8 @@ def _check() -> int:
     check("pece vs analytic solution", float(np.max(np.abs(traj.states[::10, 0] - ref))) <= 1e-3)
 
     prob1 = FdeProblem(alpha=1.0, field=lambda u: -2.0 * (u - 3.0), u0=np.array([1.0]), t_end=2.0, h=2e-3)
-    diff = np.max(np.abs(solve_pece(prob1).states - solve_reference_ode(prob1, t_eval=prob1.h * np.arange(1001)).states))
+    pece1 = solve_pece(prob1)
+    diff = np.max(np.abs(pece1.states - solve_reference_ode(prob1, t_eval=pece1.times).states))
     check("pece vs adaptive reference", float(diff) <= 1e-4)
 
     quad = make_quadratic(3.0)

@@ -8,7 +8,8 @@ complete history, so the work is O(steps^2); there is deliberately no
 short-memory truncation here.
 
 An adaptive embedded Runge-Kutta reference solver is provided for the
-integer-order case (alpha = 1).
+integer-order case (alpha = 1).  It is the package's one use of scipy,
+which it imports on first call, so ``import fracopt`` loads numpy only.
 """
 
 from __future__ import annotations
@@ -18,7 +19,6 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from ._csvfile import write_csv
 from .errors import SolverConfigError, SolverDivergenceError, StiffnessError
@@ -103,6 +103,14 @@ def step_count(t_end: float, h: float) -> int:
     return n_steps
 
 
+def uniform_grid(t_end: float, h: float) -> np.ndarray:
+    """The ``step_count(t_end, h) + 1`` points ``h * k``, the last set to
+    exactly ``t_end`` (``0.1 * 7`` is ``0.7000000000000001``)."""
+    times = h * np.arange(step_count(t_end, h) + 1)
+    times[-1] = t_end
+    return times
+
+
 @dataclass(frozen=True)
 class FdeProblem:
     """Caputo initial-value problem D^alpha u = F(u) on [0, t_end].
@@ -162,8 +170,8 @@ def solve_pece(problem: FdeProblem) -> Trajectory:
     """
     a = problem.alpha.alpha
     h = problem.h
-    n_steps = step_count(problem.t_end, h)
-    times = h * np.arange(n_steps + 1)
+    times = uniform_grid(problem.t_end, h)
+    n_steps = times.size - 1
     d = problem.dimension
 
     # Lag-indexed quadrature weights.
@@ -225,6 +233,8 @@ def solve_reference_ode(
     """Adaptive embedded Runge-Kutta baseline for the alpha = 1 case."""
     if problem.alpha.alpha != 1.0:
         raise SolverConfigError("the reference solver only handles alpha = 1")
+    from scipy.integrate import solve_ivp  # here, so only runs that reach this load scipy
+
     nfev = 0
 
     def rhs(_t, y):

@@ -35,7 +35,7 @@ from .errors import (
     OrderRangeError,
     SolverConfigError,
 )
-from .fdesolve import FdeProblem, Trajectory, solve_pece, solve_reference_ode, step_count
+from .fdesolve import FdeProblem, Trajectory, solve_pece, solve_reference_ode, step_count, uniform_grid
 from .fracops import MemoryWindow, caputo_poly_derivative, gl_derivative, rl_poly_derivative
 from .problems import Objective
 from .specfun import mittag_leffler, gamma
@@ -447,7 +447,7 @@ def run_fctm(
     # so it gets a step that divides any horizon
     problem = FdeProblem(alpha=cfg.alpha, field=fde_field, u0=u0, t_end=cfg.t_end,
                          h=cfg.h or cfg.t_end / 2)
-    t_eval = problem.h * np.arange(step_count(cfg.t_end, problem.h) + 1) if cfg.h else None
+    t_eval = uniform_grid(cfg.t_end, problem.h) if cfg.h else None
     traj = solve_reference_ode(problem, t_eval=t_eval)
     wall = time.perf_counter() - t0
     return _wrap_result(objective, cfg, stop, traj, traj.stats.field_evaluations, wall)

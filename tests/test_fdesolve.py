@@ -5,13 +5,14 @@ import math
 import numpy as np
 import pytest
 
-from fracopt.errors import SolverConfigError, SolverDivergenceError
+from fracopt.errors import SolverConfigError, SolverDivergenceError, StiffnessError
 from fracopt.fdesolve import (
     FdeProblem,
     FractionalOrder,
     linear_relaxation_solution,
     solve_pece,
     solve_reference_ode,
+    uniform_grid,
 )
 from fracopt.problems import make_vandermonde
 
@@ -119,6 +120,14 @@ class TestPece:
         assert np.allclose(np.diff(traj.times), 1e-2, rtol=0, atol=1e-15)
         assert traj.states[0, 0] == 1.0
 
+    @pytest.mark.parametrize("t_end", [0.3, 0.7])
+    def test_grid_ends_exactly_at_horizon(self, t_end):
+        # 0.1 * 7 rounds to 0.7000000000000001; the last grid point must not
+        traj = solve_pece(make_linear(0.9, t_end=t_end, h=0.1))
+        assert traj.times[-1] == t_end
+        assert traj.times[:-1].tobytes() == (0.1 * np.arange(traj.stats.steps)).tobytes()
+        assert uniform_grid(t_end, 0.1).tobytes() == traj.times.tobytes()
+
     def test_divergence_reports_time(self):
         prob = FdeProblem(alpha=0.9, field=lambda u: u * u, u0=np.array([4.0]),
                           t_end=50.0, h=0.5)
@@ -138,6 +147,12 @@ class TestReferenceSolver:
                           u0=np.array([5.0]), t_end=3.0, h=1e-2)
         traj = solve_reference_ode(prob)
         assert np.allclose(traj.states, 5.0, atol=1e-12)
+
+    def test_blow_up_raises_stiffness_error(self):
+        # u' = u^2 from u(0) = 1 is 1/(1 - t): the step size collapses at t = 1
+        prob = FdeProblem(alpha=1.0, field=lambda u: u * u, u0=[1.0], t_end=2.0, h=0.5)
+        with pytest.raises(StiffnessError, match="adaptive step control failed: Required step size"):
+            solve_reference_ode(prob)
 
     def test_wrong_order_rejected(self):
         with pytest.raises(SolverConfigError):

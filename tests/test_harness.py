@@ -362,6 +362,17 @@ class TestCli:
                         f"alpha = 0.9\ngain = 1.0\nh = {h}\nt_end = {t_end}\n")
         assert main(["--out", str(tmp_path), "run", str(path)]) == EXIT_CONFIG
 
+    @pytest.mark.parametrize("method", ["cgm", "fctm"])
+    def test_trace_ends_exactly_at_horizon(self, tmp_path, method):
+        # 0.1 * 7 rounds to 0.7000000000000001, which the adaptive solver rejected
+        path = tmp_path / "h.ini"
+        order = "alpha = 0.9\n" if method == "fctm" else ""
+        path.write_text(f"[experiment]\nname = h\nproblem = quadratic\n\n[method.m]\n"
+                        f"method = {method}\n{order}gain = 1.0\nh = 0.1\nt_end = 0.7\n")
+        assert main(["--out", str(tmp_path), "run", str(path)]) == EXIT_OK
+        rows = (tmp_path / "h__m__r0.csv").read_text().splitlines()
+        assert len(rows) == 1 + 8 and rows[-1].startswith("0.7,")
+
     def test_seed_zero_overrides_spec_seed(self, tmp_path):
         path = tmp_path / "th.ini"
         path.write_text("[experiment]\nname = th\nproblem = thomson\ncharges = 4\n"

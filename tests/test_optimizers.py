@@ -246,6 +246,12 @@ class TestFctm:
         res = run_fctm(QUAD, np.array([1.0]), cfg)
         assert res.converged_to[0] == pytest.approx(3.0 - 2.0 * math.exp(-10.0), abs=1e-6)
 
+    def test_cost_counts_field_evaluations(self):
+        # PECE calls the field once at the start and twice per step
+        res = run_fctm(QUAD, np.array([1.0]), fctm_cfg(0.9, h=0.1, t_end=0.7))
+        assert res.cost.field_evaluations == 2 * 7 + 1
+        assert res.cost.wall_seconds > 0
+
     def test_order_reduction_to_gdm(self):
         # explicit-Euler correspondence: omega = gain * h
         h = 1e-3

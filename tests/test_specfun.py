@@ -1,16 +1,11 @@
 from __future__ import annotations
 
 import math
-import os
-import subprocess
-import sys
-from pathlib import Path
 
 import mpmath
 import numpy as np
 import pytest
 
-import fracopt
 from fracopt.errors import GammaPoleError, MittagLefflerError
 from fracopt.specfun import gamma, mittag_leffler
 
@@ -161,11 +156,29 @@ class TestMittagLeffler:
             mittag_leffler(0.9, -1.0, 0.5)
 
 
-def test_runtime_import_leaves_out_mpmath():
+def test_runtime_import_leaves_out_mpmath(fresh_python):
     # mpmath is a test dependency only: the package and its CLI must not load it
-    env = dict(os.environ, PYTHONPATH=str(Path(fracopt.__file__).resolve().parents[1]))
-    done = subprocess.run(
-        [sys.executable, "-c", "import fracopt.cli, sys; sys.exit('mpmath' in sys.modules)"],
-        env=env, timeout=120,
-    )
-    assert done.returncode == 0
+    assert fresh_python("import fracopt.cli, sys; sys.exit('mpmath' in sys.modules)") == 0
+
+
+SCIPY_PROBE = """
+import sys
+from fracopt import cli
+out, flows, cgm = sys.argv[1:]
+assert 'scipy' not in sys.modules, 'import fracopt.cli loaded scipy'
+assert cli.main(['--out', out, 'run', flows]) == 0
+assert 'scipy' not in sys.modules, 'a GDM + FCTM run loaded scipy'
+assert cli.main(['--out', out, 'run', cgm]) == 0
+assert 'scipy' in sys.modules
+"""
+
+
+def test_scipy_loaded_only_by_the_reference_solver(tmp_path, fresh_python):
+    # scipy backs the adaptive solver alone: runs that never reach it skip the import
+    quadratic = "[experiment]\nname = {}\nproblem = quadratic\nthresholds = 0.1\n\n"
+    flows, cgm = tmp_path / "flows.ini", tmp_path / "cgm.ini"
+    flows.write_text(quadratic.format("flows")
+                     + "[method.gdm]\nmethod = gdm\nomega = 0.1\nk_max = 20\n\n"
+                     + "[method.fctm]\nmethod = fctm\nalpha = 0.9\ngain = 1.0\nh = 0.1\nt_end = 2.0\n")
+    cgm.write_text(quadratic.format("cgm") + "[method.cgm]\nmethod = cgm\ngain = 1.0\nt_end = 2.0\n")
+    assert fresh_python(SCIPY_PROBE, str(tmp_path / "out"), str(flows), str(cgm)) == 0
