@@ -1,0 +1,117 @@
+"""The library's numerical invariants, each written once.
+
+One function per invariant: it takes its cases and returns the worst
+error over them.  One constant per bound.  ``fracopt check`` runs small
+cases of every invariant; the acceptance criteria and the unit tests run
+larger ones against the same bounds, so a comparison or a bound cannot
+differ between the two.
+"""
+
+from __future__ import annotations
+
+from typing import Iterable
+
+import numpy as np
+
+from .fdesolve import FdeProblem, linear_relaxation_solution, solve_pece, solve_reference_ode
+from .fracops import (MemoryWindow, Polynomial, caputo_poly_derivative, caputo_taylor_series,
+                      gl_derivative, rl_poly_derivative)
+from .optimizers import Method, OptimizerConfig, StoppingRule, run_fgdm
+from .problems import Objective, make_quadratic
+from .specfun import gamma, mittag_leffler
+
+GAMMA_RECURRENCE_BOUND = 1e-12  # relative
+ML_EXP_BOUND = 1e-10
+ML_COS_BOUND = 1e-9
+GL_POWER_RULE_BOUND = 1e-3
+CAPUTO_SERIES_BOUND = 1e-10
+PECE_CLOSED_FORM_BOUND = 1e-3
+PECE_REFERENCE_BOUND = 1e-4
+FGDM_SHIFT_BOUND = 1e-3
+GRADIENT_BOUND = 1e-6  # relative
+
+# a polynomial case: (p, alpha, u, a), the derivative of p of order alpha
+# at u with lower limit a
+PolynomialCase = tuple[Polynomial, float, float, float]
+
+
+def gamma_recurrence_error(xs: Iterable[float]) -> float:
+    """Worst relative error of Gamma(x + 1) = x Gamma(x)."""
+    return max(abs(gamma(x + 1.0) - x * gamma(x)) / gamma(x + 1.0) for x in xs)
+
+
+def ml_exp_error(ts: np.ndarray) -> float:
+    """Worst error of E_{1,1}(-t) = exp(-t)."""
+    return float(np.max(np.abs(mittag_leffler(1.0, 1.0, -ts) - np.exp(-ts))))
+
+
+def ml_cos_error(ts: np.ndarray) -> float:
+    """Worst error of E_{2,1}(-t^2) = cos(t)."""
+    return float(np.max(np.abs(mittag_leffler(2.0, 1.0, -ts * ts) - np.cos(ts))))
+
+
+def gl_power_rule_error(cases: Iterable[PolynomialCase]) -> float:
+    """Worst error of the Grunwald-Letnikov sum (mesh 1e-5) against the
+    Riemann-Liouville power rule."""
+    return max(abs(gl_derivative(p, alpha, u, MemoryWindow(lower_limit=a, step=1e-5))
+                   - rl_poly_derivative(p, alpha, u, a))
+               for p, alpha, u, a in cases)
+
+
+def caputo_series_error(cases: Iterable[PolynomialCase]) -> float:
+    """Worst error of the Caputo Taylor series, truncated at the degree of
+    p, against the Caputo closed form."""
+    worst = 0.0
+    for p, alpha, u, a in cases:
+        derivs = [p.derivative()]
+        while len(derivs) < p.degree:
+            derivs.append(derivs[-1].derivative())
+        series = caputo_taylor_series(derivs, alpha, u, a, truncation=p.degree)
+        worst = max(worst, abs(series - caputo_poly_derivative(p, alpha, u, a)))
+    return worst
+
+
+def _relaxation(alpha: float, t_end: float) -> FdeProblem:
+    # D^alpha u = -2 (u - 3), u(0) = 1, and u'(0) = 0 above order 1
+    return FdeProblem(alpha=alpha, field=lambda u: -2.0 * (u - 3.0), u0=np.array([1.0]),
+                      t_end=t_end, h=1e-3, v0=0.0 if alpha > 1 else None)
+
+
+def pece_closed_form_error(alpha: float, t_end: float) -> float:
+    """Worst error of PECE on the linear relaxation against its
+    Mittag-Leffler closed form, over every grid point up to t_end."""
+    traj = solve_pece(_relaxation(alpha, t_end))
+    exact = linear_relaxation_solution(alpha, 2.0, 3.0, 1.0, traj.times, v0=0.0)
+    return float(np.max(np.abs(traj.states[:, 0] - exact)))
+
+
+def pece_reference_error(t_end: float) -> float:
+    """Worst error of order-1 PECE on the linear relaxation against the
+    adaptive reference solver, over every grid point up to t_end."""
+    problem = _relaxation(1.0, t_end)
+    traj = solve_pece(problem)
+    ref = solve_reference_ode(problem, rel_tol=1e-10, abs_tol=1e-12, t_eval=traj.times)
+    return float(np.max(np.abs(traj.states - ref.states)))
+
+
+def fgdm_shift_error(alpha: float, k_max: int) -> float:
+    """Distance after k_max steps of Caputo FGDM with a fixed lower limit,
+    on (u - 3)^2 from u = 1, to the shifted equilibrium 3 (2 - alpha)."""
+    cfg = OptimizerConfig(method=Method.FGDM, alpha=alpha, omega=0.05,
+                          fgdm_operator="caputo", window=MemoryWindow(lower_limit=0.0))
+    res = run_fgdm(make_quadratic(3.0), 1.0, cfg, StoppingRule(k_max=k_max))
+    return abs(float(res.converged_to[0]) - 3.0 * (2.0 - alpha))
+
+
+def gradient_error(objective: Objective, points: Iterable[np.ndarray]) -> float:
+    """Worst relative error of the analytic gradient against central
+    differences at step 1e-6 (1 + |u|)."""
+    worst = 0.0
+    for u in points:
+        u = np.asarray(u, dtype=float)
+        step = 1e-6 * (1.0 + np.linalg.norm(u))
+        fd = np.array([objective.f(u + e) - objective.f(u - e) for e in step * np.eye(u.size)])
+        fd /= 2.0 * step
+        g = objective.gradient(u)
+        worst = max(worst, float(np.linalg.norm(g - fd) / max(np.linalg.norm(g), 1e-300)))
+    return worst

@@ -17,97 +17,49 @@ from .harness import EXIT_CONFIG, EXIT_DIVERGED, EXIT_OK, REPRODUCE_TARGETS, par
 
 
 def _check() -> int:
-    """Fast invariant suite over the core numerics."""
-    from . import (
-        FdeProblem,
-        MemoryWindow,
-        Method,
-        OptimizerConfig,
-        Polynomial,
-        StoppingRule,
-        caputo_poly_derivative,
-        caputo_taylor_series,
-        gamma,
-        gl_derivative,
-        linear_relaxation_solution,
-        make_quadratic,
-        make_thomson,
-        make_vandermonde,
-        mittag_leffler,
-        rl_poly_derivative,
-        run_fgdm,
-        solve_pece,
-        solve_reference_ode,
-    )
-
-    failures = 0
-
-    def check(name: str, ok: bool, detail: str = "") -> None:
-        nonlocal failures
-        if ok:
-            print(f"PASS {name}")
-        else:
-            failures += 1
-            print(f"FAIL {name} {detail}")
+    """Fast invariant suite: small cases of the checks that the acceptance
+    criteria and the unit tests run, against the same bounds."""
+    from . import _selfcheck as sc
+    from .fracops import Polynomial
+    from .problems import make_thomson, make_vandermonde
 
     rng = np.random.default_rng(20240615)
-
-    xs = rng.uniform(0.1, 20.0, 50)
-    rec = max(abs(gamma(x + 1) - x * gamma(x)) / gamma(x + 1) for x in xs)
-    check("gamma recurrence", rec <= 1e-12, f"worst {rec:.2e}")
-
     ts = np.arange(0, 5.1, 0.5)
-    ml_exp = float(np.max(np.abs(mittag_leffler(1.0, 1.0, -ts) - np.exp(-ts))))
-    check("mittag-leffler exp identity", ml_exp <= 1e-10, f"worst {ml_exp:.2e}")
-    ml_cos = float(np.max(np.abs(mittag_leffler(2.0, 1.0, -ts * ts) - np.cos(ts))))
-    check("mittag-leffler cos identity", ml_cos <= 1e-9, f"worst {ml_cos:.2e}")
 
-    window = MemoryWindow(step=1e-5)
-    worst = 0.0
-    for _ in range(5):
-        coeffs = rng.uniform(-1, 1, rng.integers(2, 6))
+    def power_rule_case():
+        p = Polynomial(rng.uniform(-1, 1, rng.integers(2, 6)))
         alpha = rng.uniform(0.1, 0.9)
         a = rng.uniform(0.0, 2.0)
-        u = a + rng.uniform(0.5, 3.0)
-        p = Polynomial(coeffs)
-        win = MemoryWindow(lower_limit=a, step=1e-5)
-        worst = max(worst, abs(gl_derivative(p, alpha, u, win) - rl_poly_derivative(p, alpha, u, a)))
-    check("gl vs rl power rule", worst <= 1e-3, f"worst {worst:.2e}")
+        return p, alpha, a + rng.uniform(0.5, 3.0), a
 
-    p = Polynomial((1.0, -6.0, 9.0))
-    ts = caputo_taylor_series([lambda u: 2 * (u - 3.0), lambda u: 2.0], 0.9, 3.3, 0.0, truncation=2)
-    check("caputo series vs closed form", abs(ts - caputo_poly_derivative(p, 0.9, 3.3, 0.0)) <= 1e-10)
-
-    prob = FdeProblem(alpha=0.9, field=lambda u: -2.0 * (u - 3.0), u0=np.array([1.0]), t_end=2.0, h=2e-3)
-    traj = solve_pece(prob)
-    ref = linear_relaxation_solution(0.9, 2.0, 3.0, 1.0, traj.times[::10])
-    check("pece vs analytic solution", float(np.max(np.abs(traj.states[::10, 0] - ref))) <= 1e-3)
-
-    prob1 = FdeProblem(alpha=1.0, field=lambda u: -2.0 * (u - 3.0), u0=np.array([1.0]), t_end=2.0, h=2e-3)
-    pece1 = solve_pece(prob1)
-    diff = np.max(np.abs(pece1.states - solve_reference_ode(prob1, t_eval=pece1.times).states))
-    check("pece vs adaptive reference", float(diff) <= 1e-4)
-
-    quad = make_quadratic(3.0)
-    cfg = OptimizerConfig(method=Method.FGDM, alpha=0.9, omega=0.05,
-                          fgdm_operator="caputo", window=MemoryWindow(lower_limit=0.0))
-    res = run_fgdm(quad, 1.0, cfg, StoppingRule(k_max=3000))
-    check("fgdm equilibrium shift", abs(float(res.converged_to[0]) - 3.3) <= 1e-3)
-
+    # evaluated in order: the random cases draw from one generator
+    checks = [
+        ("gamma recurrence", sc.gamma_recurrence_error(rng.uniform(0.1, 20.0, 50)),
+         sc.GAMMA_RECURRENCE_BOUND),
+        ("mittag-leffler exp identity", sc.ml_exp_error(ts), sc.ML_EXP_BOUND),
+        ("mittag-leffler cos identity", sc.ml_cos_error(ts), sc.ML_COS_BOUND),
+        ("gl vs rl power rule", sc.gl_power_rule_error([power_rule_case() for _ in range(5)]),
+         sc.GL_POWER_RULE_BOUND),
+        ("caputo series vs closed form",
+         sc.caputo_series_error([(Polynomial((1.0, -6.0, 9.0)), 0.9, 3.3, 0.0)]),
+         sc.CAPUTO_SERIES_BOUND),
+        ("pece vs analytic solution", sc.pece_closed_form_error(0.9, 2.0),
+         sc.PECE_CLOSED_FORM_BOUND),
+        ("pece vs adaptive reference", sc.pece_reference_error(2.0), sc.PECE_REFERENCE_BOUND),
+        ("fgdm equilibrium shift", sc.fgdm_shift_error(0.9, 3000), sc.FGDM_SHIFT_BOUND),
+    ]
     for obj, label in ((make_vandermonde(4)[0], "vandermonde"), (make_thomson(4)[0], "thomson")):
-        u = rng.uniform(0.3, 1.2, obj.dimension)
-        g = obj.gradient(u)
-        step = 1e-6 * (1 + np.linalg.norm(u))
-        fd = np.empty_like(u)
-        for i in range(len(u)):
-            e = np.zeros_like(u)
-            e[i] = step
-            fd[i] = (obj.f(u + e) - obj.f(u - e)) / (2 * step)
-        rel = np.linalg.norm(g - fd) / np.linalg.norm(g)
-        check(f"{label} gradient vs finite differences", rel <= 1e-6, f"{rel:.2e}")
+        checks.append((f"{label} gradient vs finite differences",
+                       sc.gradient_error(obj, [rng.uniform(0.3, 1.2, obj.dimension)]),
+                       sc.GRADIENT_BOUND))
 
-    print(f"{'all checks passed' if failures == 0 else f'{failures} check(s) failed'}")
-    return EXIT_OK if failures == 0 else EXIT_DIVERGED
+    failed = 0
+    for name, worst, bound in checks:
+        ok = worst <= bound
+        failed += not ok
+        print(f"PASS {name}" if ok else f"FAIL {name} worst {worst:.2e} > bound {bound:g}")
+    print(f"{failed} check(s) failed" if failed else "all checks passed")
+    return EXIT_DIVERGED if failed else EXIT_OK
 
 
 def main(argv: list[str] | None = None) -> int:

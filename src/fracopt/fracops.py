@@ -92,10 +92,12 @@ class MemoryWindow:
     step: float = 1e-5
 
     def __post_init__(self) -> None:
-        if not self.step > 0:
-            raise ValueError("step must be > 0")
-        if self.memory_length < 0:
-            raise ValueError("memory_length must be >= 0")
+        if not math.isfinite(self.lower_limit):
+            raise ValueError("lower_limit must be finite")
+        if not 0 < self.step < math.inf:
+            raise ValueError("step must be finite and > 0")
+        if not self.memory_length >= 0:
+            raise ValueError("memory_length must be >= 0 (inf for a fixed lower limit)")
         if math.isfinite(self.memory_length) and self.memory_length < self.step:
             raise ValueError("a finite memory_length must be >= step")
 

@@ -83,6 +83,10 @@ class ProblemSpec:
             raise ConfigError(f"charges must be >= 2, got {self.charges}")
         if self.degree < 1:
             raise ConfigError(f"degree must be >= 1, got {self.degree}")
+        if not math.isfinite(self.c):
+            raise ConfigError(f"c must be finite, got {self.c}")
+        if self.u0 is not None and not all(map(math.isfinite, self.u0)):
+            raise ConfigError(f"u0 values must be finite, got {self.u0}")
         size = {"quadratic": 1, "vandermonde": self.degree + 1}.get(self.kind, 0)
         if self.u0 is not None and len(self.u0) != size:
             raise ConfigError(f"{self.kind} takes {size} u0 value(s), got {len(self.u0)}")
@@ -94,6 +98,10 @@ class MethodSpec:
     cfg: OptimizerConfig
     k_max: int | None = None
     epsilon: float | None = None
+
+    def __post_init__(self) -> None:
+        # each cell's StoppingRule gets these; it owns their rule
+        StoppingRule(epsilon=self.epsilon, k_max=self.k_max)
 
 
 @dataclass(frozen=True)
@@ -116,6 +124,8 @@ class ExperimentSpec:
         object.__setattr__(self, "thresholds", StoppingRule(thresholds=self.thresholds).thresholds)
         if self.restarts < 1:
             raise ConfigError("restarts must be >= 1")
+        if self.base_seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.base_seed}")
         # comparisons are only meaningful at matched horizons
         horizons = {m.cfg.t_end for m in self.methods if m.cfg.t_end is not None}
         if len(horizons) > 1:

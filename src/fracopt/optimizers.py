@@ -21,6 +21,7 @@ whole stack at once.
 from __future__ import annotations
 
 import enum
+import math
 import time
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -116,10 +117,12 @@ class OptimizerConfig:
                 raise ConfigError(f"{m.value} requires {name}")
             if value is not None and name not in allowed:
                 raise ConfigError(f"{name} is not a {m.value} parameter")
-        if self.omega is not None and not self.omega > 0:
-            raise ConfigError("omega must be > 0")
-        if self.gain is not None and not self.gain > 0:
-            raise ConfigError("gain must be > 0")
+        for name in ("omega", "gain", "t_end"):
+            value = getattr(self, name)
+            if value is not None and not 0 < value < math.inf:
+                raise ConfigError(f"{name} must be finite and > 0")
+        if self.v0 is not None and not np.all(np.isfinite(self.v0)):
+            raise ConfigError("v0 must be finite")
         if m in (Method.GDM, Method.CGM) and self.alpha != 1.0:
             raise ConfigError(f"{m.value} runs at alpha = 1")
         if m is Method.FGDM and not 0 < self.alpha <= 1:
@@ -155,6 +158,12 @@ class StoppingRule:
         thr = tuple(float(t) for t in self.thresholds)
         if any(b >= a for a, b in zip(thr, thr[1:])):
             raise ConfigError("thresholds must be strictly decreasing")
+        if not all(map(math.isfinite, thr)):
+            raise ConfigError("thresholds must be finite")
+        if self.epsilon is not None and not math.isfinite(self.epsilon):
+            raise ConfigError("epsilon must be finite")
+        if self.k_max is not None and self.k_max < 0:
+            raise ConfigError(f"k_max must be >= 0, got {self.k_max}")
         object.__setattr__(self, "thresholds", thr)
 
 

@@ -27,21 +27,3 @@ def fresh_python():
         return subprocess.run([sys.executable, "-c", code, *args], env=env, timeout=120).returncode
 
     return run
-
-
-def central_diff_gradient(objective, u: np.ndarray) -> np.ndarray:
-    """Independent finite-difference gradient at step 1e-6 * (1 + |u|)."""
-    u = np.asarray(u, dtype=float)
-    step = 1e-6 * (1.0 + np.linalg.norm(u))
-    out = np.empty_like(u)
-    for i in range(u.size):
-        e = np.zeros_like(u)
-        e[i] = step
-        out[i] = (objective.f(u + e) - objective.f(u - e)) / (2.0 * step)
-    return out
-
-
-def gradient_relative_error(objective, u: np.ndarray) -> float:
-    g = objective.gradient(np.asarray(u, dtype=float))
-    fd = central_diff_gradient(objective, u)
-    return float(np.linalg.norm(g - fd) / max(np.linalg.norm(g), 1e-300))

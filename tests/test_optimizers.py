@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from fracopt import _selfcheck as sc
 from fracopt.errors import (
     ConfigError,
     IterationDivergenceError,
@@ -81,6 +82,9 @@ class TestConfigValidation:
             OptimizerConfig(method=Method.GDM, omega=-0.1)
         with pytest.raises(ConfigError):
             OptimizerConfig(method=Method.FCTM, gain=0.0, h=1e-3, t_end=1.0)
+        with pytest.raises(ConfigError):
+            StoppingRule(k_max=-1)
+        assert StoppingRule(k_max=0).k_max == 0
 
     def test_operator_name(self):
         with pytest.raises(ConfigError):
@@ -174,12 +178,9 @@ class TestFgdm:
 
     @pytest.mark.parametrize("alpha", [0.7, 0.8, 0.9])
     def test_equilibrium_is_not_extremum(self, alpha):
-        cfg = OptimizerConfig(method=Method.FGDM, alpha=alpha, omega=0.05,
-                              fgdm_operator="caputo", window=FIXED_WINDOW)
-        res = run_fgdm(QUAD, 1.0, cfg, StoppingRule(k_max=5000))
-        u = float(res.converged_to[0])
-        assert abs(u - 3.0 * (2.0 - alpha)) <= 1e-3
-        assert abs(u - 3.0) >= 3.0 * (1.0 - alpha) - 1e-3
+        # |u - 3| >= 3 (1 - alpha) - |u - 3 (2 - alpha)|: within the shift
+        # bound of 3 (2 - alpha), u stays away from the extremum 3
+        assert sc.fgdm_shift_error(alpha, 5000) <= sc.FGDM_SHIFT_BOUND
 
     def test_sampled_objective_uses_gl_fallback(self):
         # same quadratic but without the polynomial shortcut
