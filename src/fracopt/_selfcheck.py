@@ -27,7 +27,7 @@ GL_POWER_RULE_BOUND = 1e-3
 CAPUTO_SERIES_BOUND = 1e-10
 PECE_CLOSED_FORM_BOUND = 1e-3
 PECE_REFERENCE_BOUND = 1e-4
-FGDM_SHIFT_BOUND = 1e-3
+FGDM_SHIFT_BOUND = 1e-4  # measured: about 2.5e-13 at orders 0.3-0.9
 GRADIENT_BOUND = 1e-6  # relative
 
 # a polynomial case: (p, alpha, u, a), the derivative of p of order alpha

@@ -160,6 +160,20 @@ class FdeProblem:
         return self.u0 + float(t) * self.v0
 
 
+def _reversed_weights(a: float, n_steps: int) -> tuple[np.ndarray, np.ndarray]:
+    """Lag-indexed quadrature weights, reversed for the history sums:
+    predictor b[k] ~ (k+1)^a - k^a (rectangle rule), corrector
+    c[k] ~ (k+2)^(a+1) - 2(k+1)^(a+1) + k^(a+1) (trapezoid).  Their
+    intermediates are freed on return, before the solve allocates its
+    history."""
+    k = np.arange(n_steps + 1, dtype=float)
+    ka = k**a
+    ka1 = k ** (a + 1.0)
+    b = ka[1:] - ka[:-1]
+    c = ka1[2:] - 2.0 * ka1[1:-1] + ka1[:-2]
+    return b[::-1].copy(), c[::-1].copy()
+
+
 def solve_pece(problem: FdeProblem) -> Trajectory:
     """Full-memory ABM predictor-corrector solution on the uniform grid.
 
@@ -174,17 +188,7 @@ def solve_pece(problem: FdeProblem) -> Trajectory:
     n_steps = times.size - 1
     d = problem.dimension
 
-    # Lag-indexed quadrature weights.
-    # predictor: b[k] ~ (k+1)^a - k^a          (rectangle rule)
-    # corrector: c[k] ~ (k+2)^(a+1) - 2(k+1)^(a+1) + k^(a+1)   (trapezoid)
-    k = np.arange(n_steps + 1, dtype=float)
-    ka = k**a
-    ka1 = k ** (a + 1.0)
-    b = ka[1:] - ka[:-1]
-    c = ka1[2:] - 2.0 * ka1[1:-1] + ka1[:-2]
-    b_rev = b[::-1].copy()
-    c_rev = c[::-1].copy()
-
+    b_rev, c_rev = _reversed_weights(a, n_steps)
     pred_scale = h**a / math.gamma(a + 1.0)
     corr_scale = h**a / math.gamma(a + 2.0)
 
@@ -194,7 +198,6 @@ def solve_pece(problem: FdeProblem) -> Trajectory:
     f_hist[0] = problem.field(problem.u0)
     nfev = 1
 
-    n_lags = b.size  # == n_steps
     # overflow on a diverging problem is expected and detected explicitly
     with np.errstate(over="ignore", invalid="ignore"):
         for n in range(n_steps):
@@ -202,16 +205,16 @@ def solve_pece(problem: FdeProblem) -> Trajectory:
             seed = problem.taylor_seed(t_next)
 
             # predictor: seed + h^a/G(a+1) * sum_j b[n-j] F_j
-            pred_sum = b_rev[n_lags - n - 1 :].dot(f_hist[: n + 1])
+            pred_sum = b_rev[n_steps - n - 1 :].dot(f_hist[: n + 1])
             u_pred = seed + pred_scale * pred_sum
             f_pred = np.asarray(problem.field(u_pred), dtype=float)
             nfev += 1
 
             # corrector: history term with the j = 0 weight handled separately
-            a0 = k[n] ** (a + 1.0) - (n - a) * (n + 1.0) ** a
+            a0 = float(n) ** (a + 1.0) - (n - a) * (n + 1.0) ** a
             corr_sum = a0 * f_hist[0]
             if n >= 1:
-                corr_sum = corr_sum + c_rev[n_lags - 1 - n :].dot(f_hist[1 : n + 1])
+                corr_sum = corr_sum + c_rev[n_steps - 1 - n :].dot(f_hist[1 : n + 1])
             u_next = seed + corr_scale * (corr_sum + f_pred)
 
             if not np.all(np.isfinite(u_next)):

@@ -16,9 +16,9 @@ from __future__ import annotations
 
 import configparser
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
@@ -148,7 +148,8 @@ class SummaryRecord:
     field_evaluations: int
     status: str
     wall_seconds: float
-    # the cell's full result (None if it diverged), for targets that post-process it
+    # the cell's result without its trace and iterations (None if it
+    # diverged); run_experiment's on_result hook sees the full result
     result: RunResult | None = field(default=None, compare=False, repr=False)
 
 
@@ -235,24 +236,62 @@ def _write_summary(path: Path, records: list[SummaryRecord],
     ), header_note)
 
 
+def _write_method(out: Path, spec: ExperimentSpec, mspec: MethodSpec,
+                  outcomes: list[RunResult | FracoptError],
+                  on_result: Callable[[str, int, RunResult], None] | None,
+                  ) -> list[RunResult | FracoptError]:
+    """Write one method's trace CSVs, pass each completed cell to
+    ``on_result``, and return the outcomes with traces and tracebacks
+    dropped, so the method's trajectories are freed when this returns."""
+    kept: list[RunResult | FracoptError] = []
+    for restart, outcome in enumerate(outcomes):
+        if isinstance(outcome, RunResult):
+            trace_path = out / f"{spec.name}__{mspec.label}__r{restart}.csv"
+            if outcome.trace is not None:
+                outcome.trace.to_csv(trace_path)
+            else:
+                outcome.iterations.to_csv(trace_path)
+            if on_result is not None:
+                on_result(mspec.label, restart, outcome)
+            outcome = replace(outcome, trace=None, iterations=None)
+        else:
+            outcome.__traceback__ = None  # its frames hold the solver's arrays
+        kept.append(outcome)
+    return kept
+
+
 def run_experiment(
-    spec: ExperimentSpec, out_dir: str | Path, workers: int = 1
+    spec: ExperimentSpec, out_dir: str | Path, workers: int = 1,
+    on_result: Callable[[str, int, RunResult], None] | None = None,
 ) -> tuple[list[SummaryRecord], int]:
     """Execute every (method, restart) cell and write summary/trace CSVs.
 
     Each method runs its restarts as one stacked job (see
     :func:`run_restarts`); ``workers`` > 1 runs methods on threads.  A
+    method's trace CSVs are written as soon as its job ends, in the order
+    of ``spec.methods``; then ``on_result(label, restart, result)`` sees
+    each completed cell with its trace, and the trace is released.  The
+    records keep each result without its trace and iterations.  A
     diverging cell is recorded with its error and does not abort the
     batch; the returned exit code is EXIT_DIVERGED if any cell failed,
     EXIT_OK otherwise.
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
+
+    def run_and_write(lazy_map) -> list[list[RunResult | FracoptError]]:
+        runs = lazy_map(lambda m: _run_method(spec, m), spec.methods)
+        # next(runs) is only an argument, so no name keeps a method's
+        # trajectories alive while the next method runs
+        return [_write_method(out, spec, mspec, next(runs), on_result) for mspec in spec.methods]
+
     if workers > 1:
+        from concurrent.futures import ThreadPoolExecutor  # only threaded runs load it
+
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            per_method = list(pool.map(lambda m: _run_method(spec, m), spec.methods))
+            per_method = run_and_write(pool.map)
     else:
-        per_method = [_run_method(spec, m) for m in spec.methods]
+        per_method = run_and_write(map)
 
     # alpha = 1 baseline metric per restart, for the ratio column
     first_alpha1 = next((i for i, m in enumerate(spec.methods) if m.cfg.alpha == 1.0), None)
@@ -286,11 +325,6 @@ def run_experiment(
             field_evaluations=result.cost.field_evaluations,
             status="completed", wall_seconds=result.cost.wall_seconds, result=result,
         ))
-        trace_path = out / f"{spec.name}__{mspec.label}__r{restart}.csv"
-        if result.trace is not None:
-            result.trace.to_csv(trace_path)
-        else:
-            result.iterations.to_csv(trace_path)
 
     records.sort(key=lambda r: (r.alpha, r.label, r.restart))
     _write_summary(out / f"{spec.name}__summary.csv", records, spec.thresholds)
@@ -430,16 +464,18 @@ def _reproduce_fig4(out: Path, seed: int, workers: int):
     # oscillations beyond
     alphas = (0.9, 1.0, 1.2, 1.5, 1.7)
     methods = tuple(_fctm(f"fctm-a{a:g}", a, gain=1.0, h=2e-3, t_end=20.0) for a in alphas)
-    spec = _quadratic_spec("fig4", methods, seed)
-    records, code = run_experiment(spec, out, workers)
     census_rows = []
-    for r in records:  # in order of alpha, as listed
-        if r.result is None:
-            continue  # diverged; the summary row says why
-        diff = r.result.trace.states - 3.0
-        energy = EnergyTrace(times=r.result.trace.times, energies=np.sum(diff * diff, axis=1))
-        energy.to_csv(out / f"fig4__energy__{r.label}.csv")
-        census_rows.append((r.label, r.alpha, oscillation_census(energy)))
+
+    def energy_trace(label: str, _restart: int, result: RunResult) -> None:
+        # completed cells only, in order of alpha, as listed; a diverged
+        # cell's summary row says why it is missing
+        diff = result.trace.states - 3.0
+        energy = EnergyTrace(times=result.trace.times, energies=np.sum(diff * diff, axis=1))
+        energy.to_csv(out / f"fig4__energy__{label}.csv")
+        census_rows.append((label, result.alpha, oscillation_census(energy)))
+
+    records, code = run_experiment(_quadratic_spec("fig4", methods, seed), out, workers,
+                                   on_result=energy_trace)
     write_csv(out / "fig4__census.csv", ["label", "alpha", "local_minima"], census_rows)
     return records, code
 
@@ -516,8 +552,6 @@ def _reproduce_table2(out: Path, seed: int, workers: int):
         records, c = run_experiment(spec, out, workers)
         code = max(code, c)
         best_rows.extend(_table2_best(n, methods, records, out))
-        # drop this N's traces before the next N runs
-        records = [replace(r, result=None) for r in records]
         all_records.extend(records)
     note = (f"best of {TABLE2_RESTARTS} seeded restarts; gdm: omega={TABLE2_GDM_OMEGA:g} "
             f"k_max={TABLE2_GDM_KMAX}; fctm: alpha=0.7 gain=1 h={TABLE2_H:g} "
@@ -546,6 +580,5 @@ def reproduce(target: str, out_dir: str | Path, seed: int = 0, workers: int = 1)
         raise ConfigError(
             f"unknown target {target!r}; expected one of {sorted(REPRODUCE_TARGETS)}"
         )
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    return REPRODUCE_TARGETS[target](out, seed, workers)
+    # run_experiment makes the directory once the target's spec is valid
+    return REPRODUCE_TARGETS[target](Path(out_dir), seed, workers)

@@ -156,10 +156,8 @@ class TestGdm:
 
 class TestFgdm:
     def test_fixed_limit_caputo_misconverges(self):
-        cfg = OptimizerConfig(method=Method.FGDM, alpha=0.9, omega=0.05,
-                              fgdm_operator="caputo", window=FIXED_WINDOW)
-        res = run_fgdm(QUAD, 1.0, cfg, StoppingRule(k_max=5000))
-        assert res.converged_to[0] == pytest.approx(3.3, abs=1e-4)
+        # settles at 3 (2 - 0.9) = 3.3, not at the extremum 3
+        assert sc.fgdm_shift_error(0.9, 5000) <= sc.FGDM_SHIFT_BOUND
 
     def test_order_one_reduces_to_gdm(self):
         cfg = OptimizerConfig(method=Method.FGDM, alpha=1.0, omega=0.05,
