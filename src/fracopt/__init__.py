@@ -6,117 +6,15 @@ with a benchmark harness for quadratic, interpolation, and point-charge
 experiments.
 """
 
-from .errors import (
-    ConfigError,
-    FracoptError,
-    GammaPoleError,
-    IterationDivergenceError,
-    MittagLefflerError,
-    OperatorDomainError,
-    OrderRangeError,
-    SampleRetryError,
-    SingularPairError,
-    SolverConfigError,
-    SolverDivergenceError,
-    StiffnessError,
-)
-from .fdesolve import (
-    FdeProblem,
-    FractionalOrder,
-    Trajectory,
-    TrajectoryStats,
-    linear_relaxation_solution,
-    solve_pece,
-    solve_reference_ode,
-)
-from .fracops import (
-    MemoryWindow,
-    Polynomial,
-    caputo_poly_derivative,
-    caputo_taylor_series,
-    gl_derivative,
-    gl_weights,
-    rl_poly_derivative,
-)
-from .optimizers import (
-    DiscreteTrace,
-    EnergyTrace,
-    Method,
-    OptimizerConfig,
-    RunCost,
-    RunResult,
-    StoppingRule,
-    first_passages,
-    oscillation_census,
-    run_fctm,
-    run_fgdm,
-    run_gdm,
-    run_restarts,
-    stability_envelope_check,
-)
-from .problems import (
-    THOMSON_REFERENCE_ENERGIES,
-    Objective,
-    ThomsonSpec,
-    VandermondeSpec,
-    make_quadratic,
-    make_thomson,
-    make_vandermonde,
-    random_sphere_configuration,
-)
-from .specfun import gamma, mittag_leffler
+from . import errors, fdesolve, fracops, optimizers, problems, specfun
+from .errors import *
+from .fdesolve import *
+from .fracops import *
+from .optimizers import *
+from .problems import *
+from .specfun import *
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "ConfigError",
-    "DiscreteTrace",
-    "EnergyTrace",
-    "FdeProblem",
-    "FracoptError",
-    "FractionalOrder",
-    "GammaPoleError",
-    "IterationDivergenceError",
-    "MemoryWindow",
-    "Method",
-    "MittagLefflerError",
-    "Objective",
-    "OperatorDomainError",
-    "OptimizerConfig",
-    "OrderRangeError",
-    "Polynomial",
-    "RunCost",
-    "RunResult",
-    "SampleRetryError",
-    "SingularPairError",
-    "SolverConfigError",
-    "SolverDivergenceError",
-    "StiffnessError",
-    "StoppingRule",
-    "THOMSON_REFERENCE_ENERGIES",
-    "ThomsonSpec",
-    "Trajectory",
-    "TrajectoryStats",
-    "VandermondeSpec",
-    "caputo_poly_derivative",
-    "caputo_taylor_series",
-    "first_passages",
-    "gamma",
-    "gl_derivative",
-    "gl_weights",
-    "linear_relaxation_solution",
-    "make_quadratic",
-    "make_thomson",
-    "make_vandermonde",
-    "mittag_leffler",
-    "oscillation_census",
-    "random_sphere_configuration",
-    "rl_poly_derivative",
-    "run_fctm",
-    "run_fgdm",
-    "run_gdm",
-    "run_restarts",
-    "solve_pece",
-    "solve_reference_ode",
-    "stability_envelope_check",
-]
+__all__ = sorted(name for module in (errors, fdesolve, fracops, optimizers, problems, specfun)
+                 for name in module.__all__)

@@ -2,6 +2,21 @@
 
 from __future__ import annotations
 
+__all__ = [
+    "FracoptError",
+    "GammaPoleError",
+    "MittagLefflerError",
+    "OperatorDomainError",
+    "SolverConfigError",
+    "SolverDivergenceError",
+    "StiffnessError",
+    "IterationDivergenceError",
+    "OrderRangeError",
+    "SingularPairError",
+    "SampleRetryError",
+    "ConfigError",
+]
+
 
 class FracoptError(Exception):
     """Base class for all package-specific errors."""

@@ -267,15 +267,18 @@ def run_experiment(
     """Execute every (method, restart) cell and write summary/trace CSVs.
 
     Each method runs its restarts as one stacked job (see
-    :func:`run_restarts`); ``workers`` > 1 runs methods on threads.  A
-    method's trace CSVs are written as soon as its job ends, in the order
-    of ``spec.methods``; then ``on_result(label, restart, result)`` sees
+    :func:`run_restarts`); ``workers`` > 1 runs methods on threads, and
+    ``workers`` < 1 is a configuration error, raised before ``out_dir`` is
+    made.  A method's trace CSVs are written as soon as its job ends, in
+    the order of ``spec.methods``; then ``on_result(label, restart, result)`` sees
     each completed cell with its trace, and the trace is released.  The
     records keep each result without its trace and iterations.  A
     diverging cell is recorded with its error and does not abort the
     batch; the returned exit code is EXIT_DIVERGED if any cell failed,
     EXIT_OK otherwise.
     """
+    if workers < 1:
+        raise ConfigError(f"workers must be >= 1, got {workers}")
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
 
@@ -336,77 +339,96 @@ def run_experiment(
 # ---------------------------------------------------------------------------
 # config file parsing (flat key-value sections)
 
+def _floats(text: str) -> tuple[float, ...]:
+    return tuple(float(x) for x in text.split(",")) if text else ()
+
+
+# Every spec key, per section kind: key -> (the object it sets, that
+# object's field, converter).  The objects own the rules on the values.
+_EXPERIMENT_KEYS = {
+    "name": (ExperimentSpec, "name", str),
+    "problem": (ProblemSpec, "kind", str),
+    "c": (ProblemSpec, "c", float),
+    "u0": (ProblemSpec, "u0", lambda text: _floats(text) or None),  # empty: default start
+    "degree": (ProblemSpec, "degree", int),
+    "target_rule": (ProblemSpec, "target_rule", str),
+    "charges": (ProblemSpec, "charges", int),
+    "thresholds": (ExperimentSpec, "thresholds", _floats),
+    "restarts": (ExperimentSpec, "restarts", int),
+    "seed": (ExperimentSpec, "base_seed", int),
+}
 _METHOD_KEYS = {
-    "method", "alpha", "omega", "gain", "h", "t_end", "v0", "operator",
-    "window_lower", "window_length", "window_step", "k_max", "epsilon",
+    "method": (OptimizerConfig, "method", str),
+    "alpha": (OptimizerConfig, "alpha", float),
+    "gain": (OptimizerConfig, "gain", float),
+    "omega": (OptimizerConfig, "omega", float),
+    "h": (OptimizerConfig, "h", float),
+    "t_end": (OptimizerConfig, "t_end", float),
+    "v0": (OptimizerConfig, "v0", float),
+    "operator": (OptimizerConfig, "fgdm_operator", str),
+    "window_lower": (MemoryWindow, "lower_limit", float),
+    "window_length": (MemoryWindow, "memory_length", float),
+    "window_step": (MemoryWindow, "step", float),
+    "k_max": (MethodSpec, "k_max", int),
+    "epsilon": (MethodSpec, "epsilon", float),
 }
 
 
-def _parse_method_section(label: str, section) -> MethodSpec:
-    unknown = set(section) - _METHOD_KEYS
-    if unknown:
-        raise ConfigError(f"[{label}]: unknown keys {sorted(unknown)}")
+def _read_section(parser: configparser.ConfigParser, name: str, table: dict,
+                  build: Callable[[str, dict], object]):
+    """Convert section ``name`` by ``table`` and return ``build(name, kwargs)``,
+    where ``kwargs`` maps each object in the table to the fields the section
+    sets.  A key missing from the table, and every error, names the section."""
+    section = parser[name]
     try:
-        method = Method.parse(section.get("method", ""))
-        alpha = section.getfloat("alpha", 1.0)
-        kwargs = dict(method=method, alpha=alpha)
-        for key in ("omega", "gain", "h", "t_end", "v0"):
-            if key in section:
-                kwargs[key] = section.getfloat(key)
-        if method is Method.FGDM:
-            kwargs["fgdm_operator"] = section.get("operator", "caputo")
-            kwargs["window"] = MemoryWindow(
-                lower_limit=section.getfloat("window_lower", 0.0),
-                memory_length=section.getfloat("window_length", math.inf),
-                step=section.getfloat("window_step", 1e-5),
-            )
-        cfg = OptimizerConfig(**kwargs)
-        k_max = section.getint("k_max") if "k_max" in section else None
-        epsilon = section.getfloat("epsilon") if "epsilon" in section else None
-        return MethodSpec(label=label, cfg=cfg, k_max=k_max, epsilon=epsilon)
+        unknown = sorted(set(section) - table.keys())
+        if unknown:
+            raise ConfigError(f"unknown keys {unknown}")
+        kwargs = {target: {} for target, _, _ in table.values()}
+        for key, text in section.items():
+            target, field_name, convert = table[key]
+            kwargs[target][field_name] = convert(text)
+        return build(name, kwargs)
     except (ValueError, configparser.Error) as exc:
-        raise ConfigError(f"[{label}]: {exc}") from exc
+        raise ConfigError(f"[{name}]: {exc}") from exc
+
+
+def _method_spec(name: str, kwargs: dict) -> MethodSpec:
+    cfg = kwargs[OptimizerConfig]
+    # a section without `method =` reads as empty text, which the parse rejects
+    cfg["method"] = Method.parse(cfg.get("method", ""))
+    if cfg["method"] is Method.FGDM:  # FGDM's defaults
+        cfg.setdefault("fgdm_operator", "caputo")
+    if cfg["method"] is Method.FGDM or kwargs[MemoryWindow]:
+        cfg["window"] = MemoryWindow(**kwargs[MemoryWindow])
+    return MethodSpec(name.removeprefix("method."), OptimizerConfig(**cfg), **kwargs[MethodSpec])
 
 
 def parse_spec_file(path: str | Path) -> ExperimentSpec:
     """Parse the INI-style experiment description documented in the README:
-    one [experiment] section plus one [method.<label>] section per entry."""
-    parser = configparser.ConfigParser()
+    one [experiment] section plus one [method.<label>] section per entry.
+    An unknown section or key is a configuration error."""
+    # no section is configparser's default one, whose keys it would copy
+    # into every other: [DEFAULT] is an unknown section like any other
+    parser = configparser.ConfigParser(default_section="")
     try:
         read = parser.read(str(path))
     except configparser.Error as exc:
         raise ConfigError(f"malformed spec file: {exc}") from None
     if not read:
         raise ConfigError(f"cannot read spec file: {path}")
-    if "experiment" not in parser:
+    sections = parser.sections()
+    unknown = [s for s in sections if s != "experiment" and not s.startswith("method.")]
+    if unknown:
+        raise ConfigError(f"unknown sections {unknown}; expected [experiment] and [method.<label>]")
+    if "experiment" not in sections:
         raise ConfigError("missing [experiment] section")
-    exp = parser["experiment"]
-    try:
-        pspec = ProblemSpec(
-            kind=exp.get("problem", ""),
-            c=exp.getfloat("c", 3.0),
-            u0=tuple(float(x) for x in exp.get("u0", "").split(",")) if exp.get("u0") else None,
-            degree=exp.getint("degree", 10),
-            charges=exp.getint("charges", 4),
-            target_rule=exp.get("target_rule", "alternating"),
-        )
-        thr_text = exp.get("thresholds", "0.1,0.01,0.001").strip()
-        thresholds = tuple(float(x) for x in thr_text.split(",")) if thr_text else ()
-        methods = tuple(
-            _parse_method_section(name.split(".", 1)[1], parser[name])
-            for name in parser.sections()
-            if name.startswith("method.")
-        )
-        return ExperimentSpec(
-            name=exp.get("name", Path(path).stem),
-            problem=pspec,
-            methods=methods,
-            thresholds=thresholds,
-            restarts=exp.getint("restarts", 1),
-            base_seed=exp.getint("seed", 0),
-        )
-    except (ValueError, configparser.Error) as exc:
-        raise ConfigError(f"[experiment]: {exc}") from exc
+    methods = tuple(_read_section(parser, s, _METHOD_KEYS, _method_spec)
+                    for s in sections if s != "experiment")
+    # as for `method =`, a missing `problem =` is an empty, unknown kind
+    return _read_section(parser, "experiment", _EXPERIMENT_KEYS, lambda _, kwargs: ExperimentSpec(
+        problem=ProblemSpec(**{"kind": "", **kwargs[ProblemSpec]}), methods=methods,
+        **{"name": Path(path).stem, **kwargs[ExperimentSpec]}))
 
 
 # ---------------------------------------------------------------------------

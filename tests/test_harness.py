@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import configparser
 import math
 import tracemalloc
 from pathlib import Path
@@ -179,6 +180,17 @@ class TestSpecParsing:
     def test_shipped_spec_parses(self, path):
         spec = parse_spec_file(path)
         assert spec.name == path.stem and spec.methods
+
+    def test_readme_schema_lists_every_key(self):
+        # the README's schema block names exactly the keys the parser takes
+        readme = (SPECS.parent / "README.md").read_text()
+        block = readme.split("### Spec file schema", 1)[1].split("```ini\n", 1)[1].split("```", 1)[0]
+        schema = configparser.ConfigParser()
+        schema.read_string(block)
+        experiment, method = schema.sections()
+        assert (experiment, method.split(".")[0]) == ("experiment", "method")
+        assert set(schema[experiment]) == set(harness._EXPERIMENT_KEYS)
+        assert set(schema[method]) == set(harness._METHOD_KEYS)
 
 
 class TestRunExperiment:
@@ -433,11 +445,20 @@ class TestCli:
             quadratic + "[method.c]\nmethod = cgm\ngain = 1.0\nt_end = inf\n",
             quadratic + "[method.f]\nmethod = fgdm\nalpha = 0.9\nomega = 0.1\nk_max = 5\n"
                         "window_lower = nan\n",
+            quadratic + "restart = 3\n" + gdm,  # unknown [experiment] key
+            quadratic + gdm + gdm.replace("[method.", "[mehtod."),  # unknown section
+            "[DEFAULT]\nomega = 0.1\n" + quadratic + gdm,
+            quadratic + "[method.f]\nmethod = fctm\nalpha = 0.9\ngain = 1.0\nh = 0.1\nt_end = 1.0\noperator = rl\n",  # an fgdm key on fctm
+            quadratic + "[method.f]\nmethod = fctm\nalpha = 0.9\ngain = 1.0\nh = 0.1\nt_end = 1.0\nwindow_length = 5\n",
         ]
         path = tmp_path / "bad.ini"
         for text in bad_specs:
             path.write_text(text)
             assert main(["--out", str(tmp_path / "out"), "run", str(path)]) == EXIT_CONFIG, text
+        assert not (tmp_path / "out").exists()
+        path.write_text(quadratic + gdm)
+        assert main(["--out", str(tmp_path / "out"), "--workers", "0", "run", str(path)]) == EXIT_CONFIG
+        assert main(["--out", str(tmp_path / "out"), "--workers", "0", "reproduce", "fig1"]) == EXIT_CONFIG
         assert not (tmp_path / "out").exists()
         # rejected before any cell runs
         assert main(["--out", str(tmp_path / "rep"), "--seed", "-1", "reproduce", "table2"]) == EXIT_CONFIG
