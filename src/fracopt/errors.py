@@ -31,18 +31,12 @@ class GammaPoleError(FracoptError, ValueError):
 
 
 class MittagLefflerError(FracoptError):
-    """E_{alpha,beta}(z) cannot be evaluated to tolerance in double precision.
+    """E_{alpha,beta}(z) cannot be evaluated in double precision.
 
-    Raised when the positive-argument series does not converge within its
-    term budget, when the value overflows, and for a non-finite argument.
-    ``achieved_tolerance`` carries the magnitude of the last computed term
-    (inf on overflow or a non-finite argument) so callers can report how
-    far off the request was.
+    Raised for an argument outside the supported domain, the finite
+    z <= 0, and for a value that overflows (orders above 2 grow without
+    bound along the negative axis).
     """
-
-    def __init__(self, message: str, achieved_tolerance: float):
-        self.achieved_tolerance = achieved_tolerance
-        super().__init__(f"{message} (achieved tolerance {achieved_tolerance:.3e})")
 
 
 class OperatorDomainError(FracoptError, ValueError):

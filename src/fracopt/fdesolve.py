@@ -25,7 +25,6 @@ from .errors import SolverConfigError, SolverDivergenceError, StiffnessError
 from .specfun import mittag_leffler
 
 __all__ = [
-    "FractionalOrder",
     "FdeProblem",
     "Trajectory",
     "TrajectoryStats",
@@ -35,28 +34,12 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class FractionalOrder:
-    """Order of the time derivative; the solver covers (0, 2]."""
-
-    alpha: float
-
-    def __post_init__(self) -> None:
-        if not 0 < self.alpha <= 2:
-            raise SolverConfigError(f"order must lie in (0, 2], got {self.alpha:g}")
-
-    @property
-    def initial_conditions_required(self) -> int:
-        return math.ceil(self.alpha)
-
-    def __float__(self) -> float:
-        return self.alpha
-
-
-def _as_order(alpha) -> FractionalOrder:
-    if isinstance(alpha, FractionalOrder):
-        return alpha
-    return FractionalOrder(float(alpha))
+def _order(alpha) -> float:
+    """The order of the time derivative as a float; the solver covers (0, 2]."""
+    alpha = float(alpha)
+    if not 0 < alpha <= 2:
+        raise SolverConfigError(f"order must lie in (0, 2], got {alpha:g}")
+    return alpha
 
 
 @dataclass(frozen=True)
@@ -115,13 +98,13 @@ def uniform_grid(t_end: float, h: float) -> np.ndarray:
 class FdeProblem:
     """Caputo initial-value problem D^alpha u = F(u) on [0, t_end].
 
-    ``field`` must be time-autonomous and map a state vector to a state
-    vector.  ``v0`` (the initial first derivative) is required exactly when
-    alpha > 1.  Construction evaluates the field once to confirm F(u0) is
-    finite.
+    ``alpha`` is a float in (0, 2].  ``field`` must be time-autonomous and
+    map a state vector to a state vector.  ``v0`` (the initial first
+    derivative) is required exactly when alpha > 1.  Construction
+    evaluates the field once to confirm F(u0) is finite.
     """
 
-    alpha: FractionalOrder
+    alpha: float
     field: Callable[[np.ndarray], np.ndarray]
     u0: np.ndarray
     t_end: float
@@ -130,7 +113,7 @@ class FdeProblem:
     dimension: int = field(init=False)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "alpha", _as_order(self.alpha))
+        object.__setattr__(self, "alpha", _order(self.alpha))
         u0 = np.atleast_1d(np.asarray(self.u0, dtype=float)).copy()
         u0.flags.writeable = False
         object.__setattr__(self, "u0", u0)
@@ -141,10 +124,9 @@ class FdeProblem:
                 v0 = np.full(u0.size, float(v0[0]))
             v0.flags.writeable = False
             object.__setattr__(self, "v0", v0)
-        a = self.alpha.alpha
-        if a > 1 and self.v0 is None:
+        if self.alpha > 1 and self.v0 is None:
             raise SolverConfigError("alpha > 1 requires the initial derivative v0")
-        if a <= 1 and self.v0 is not None:
+        if self.alpha <= 1 and self.v0 is not None:
             raise SolverConfigError("v0 is only meaningful for alpha > 1")
         if self.v0 is not None and self.v0.size != u0.size:
             raise SolverConfigError("v0 and u0 must have the same dimension")
@@ -155,7 +137,7 @@ class FdeProblem:
 
     def taylor_seed(self, t: float) -> np.ndarray:
         """Initial-condition polynomial sum_{j<ceil(alpha)} t^j u^(j)(0)/j!."""
-        if self.alpha.alpha <= 1:
+        if self.alpha <= 1:
             return self.u0.copy()
         return self.u0 + float(t) * self.v0
 
@@ -182,7 +164,7 @@ def solve_pece(problem: FdeProblem) -> Trajectory:
     one.  Raises :class:`SolverDivergenceError` with the offending time if
     a state goes nonfinite.
     """
-    a = problem.alpha.alpha
+    a = problem.alpha
     h = problem.h
     times = uniform_grid(problem.t_end, h)
     n_steps = times.size - 1
@@ -234,7 +216,7 @@ def solve_reference_ode(
     t_eval: np.ndarray | None = None,
 ) -> Trajectory:
     """Adaptive embedded Runge-Kutta baseline for the alpha = 1 case."""
-    if problem.alpha.alpha != 1.0:
+    if problem.alpha != 1.0:
         raise SolverConfigError("the reference solver only handles alpha = 1")
     from scipy.integrate import solve_ivp  # here, so only runs that reach this load scipy
 
@@ -278,7 +260,7 @@ def linear_relaxation_solution(
 
     Serves as the analytic benchmark for the PECE solver on linear fields.
     """
-    alpha = float(_as_order(alpha))
+    alpha = _order(alpha)
     times = np.asarray(times, dtype=float)
     z = -rate * times**alpha
     out = target + (u0 - target) * mittag_leffler(alpha, 1.0, z)

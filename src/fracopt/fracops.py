@@ -46,10 +46,6 @@ class Polynomial:
             coeffs = [0.0]
         object.__setattr__(self, "coefficients", tuple(coeffs))
 
-    @classmethod
-    def constant(cls, value: float) -> "Polynomial":
-        return cls((value,))
-
     @property
     def degree(self) -> int:
         return len(self.coefficients) - 1

@@ -26,6 +26,7 @@ from ._csvfile import write_csv
 from .errors import ConfigError, FracoptError
 from .fracops import MemoryWindow
 from .optimizers import (
+    _PARAMETERS,
     EnergyTrace,
     Method,
     OptimizerConfig,
@@ -126,6 +127,9 @@ class ExperimentSpec:
             raise ConfigError("restarts must be >= 1")
         if self.base_seed < 0:
             raise ConfigError(f"seed must be >= 0, got {self.base_seed}")
+        if self.problem.kind != "quadratic" and any(
+                m.cfg.method is Method.FGDM for m in self.methods):
+            raise ConfigError(f"fgdm takes the quadratic problem only, not {self.problem.kind}")
         # comparisons are only meaningful at matched horizons
         horizons = {m.cfg.t_end for m in self.methods if m.cfg.t_end is not None}
         if len(horizons) > 1:
@@ -368,7 +372,6 @@ _METHOD_KEYS = {
     "operator": (OptimizerConfig, "fgdm_operator", str),
     "window_lower": (MemoryWindow, "lower_limit", float),
     "window_length": (MemoryWindow, "memory_length", float),
-    "window_step": (MemoryWindow, "step", float),
     "k_max": (MethodSpec, "k_max", int),
     "epsilon": (MethodSpec, "epsilon", float),
 }
@@ -396,10 +399,16 @@ def _read_section(parser: configparser.ConfigParser, name: str, table: dict,
 def _method_spec(name: str, kwargs: dict) -> MethodSpec:
     cfg = kwargs[OptimizerConfig]
     # a section without `method =` reads as empty text, which the parse rejects
-    cfg["method"] = Method.parse(cfg.get("method", ""))
-    if cfg["method"] is Method.FGDM:  # FGDM's defaults
+    method = cfg["method"] = Method.parse(cfg.get("method", ""))
+    # OptimizerConfig's rule, checked here to name the key rather than its field
+    need, optional = _PARAMETERS[method]
+    takes = {"method", "alpha", *need, *optional}
+    for key, (target, field_name, _) in _METHOD_KEYS.items():
+        parameter = "window" if target is MemoryWindow else field_name
+        if target is not MethodSpec and field_name in kwargs[target] and parameter not in takes:
+            raise ConfigError(f"{key} is not a {method.value} key")
+    if method is Method.FGDM:  # FGDM's defaults
         cfg.setdefault("fgdm_operator", "caputo")
-    if cfg["method"] is Method.FGDM or kwargs[MemoryWindow]:
         cfg["window"] = MemoryWindow(**kwargs[MemoryWindow])
     return MethodSpec(name.removeprefix("method."), OptimizerConfig(**cfg), **kwargs[MethodSpec])
 
@@ -412,8 +421,8 @@ def parse_spec_file(path: str | Path) -> ExperimentSpec:
     # into every other: [DEFAULT] is an unknown section like any other
     parser = configparser.ConfigParser(default_section="")
     try:
-        read = parser.read(str(path))
-    except configparser.Error as exc:
+        read = parser.read(str(path), encoding="utf-8")
+    except (configparser.Error, UnicodeDecodeError) as exc:
         raise ConfigError(f"malformed spec file: {exc}") from None
     if not read:
         raise ConfigError(f"cannot read spec file: {path}")

@@ -7,8 +7,9 @@ Four update rules:
   adaptive integer-order reference solver.
 * FGDM - discrete descent with a fractional derivative of f in place of
   the gradient (Riemann-Liouville or Caputo, fixed limit or fixed
-  memory window).  Its fixed points generally differ from the extrema
-  of f; ``converged_to`` makes that gap observable.
+  memory window), on the scalar quadratic, whose derivative is exact.
+  Its fixed points generally differ from the extrema of f;
+  ``converged_to`` makes that gap observable.
 * FCTM - the fractional-time flow D^alpha_t u = -gain grad f(u), whose
   equilibria coincide with the stationary points of f.
 
@@ -37,9 +38,9 @@ from .errors import (
     SolverConfigError,
 )
 from .fdesolve import FdeProblem, Trajectory, solve_pece, solve_reference_ode, step_count, uniform_grid
-from .fracops import MemoryWindow, caputo_poly_derivative, gl_derivative, rl_poly_derivative
+from .fracops import MemoryWindow, caputo_poly_derivative, rl_poly_derivative
 from .problems import Objective
-from .specfun import mittag_leffler, gamma
+from .specfun import mittag_leffler
 
 __all__ = [
     "Method",
@@ -78,6 +79,15 @@ class Method(enum.Enum):
             raise ConfigError(f"unknown method: {name!r}") from None
 
 
+# the OptimizerConfig fields each method requires, and those it also takes
+_PARAMETERS = {
+    Method.GDM: (("omega",), ()),
+    Method.CGM: (("gain", "t_end"), ("h",)),
+    Method.FGDM: (("omega", "fgdm_operator", "window"), ()),
+    Method.FCTM: (("gain", "h", "t_end"), ("v0",)),
+}
+
+
 @dataclass(frozen=True)
 class OptimizerConfig:
     """Method selection plus exactly the gains that method needs.
@@ -99,23 +109,12 @@ class OptimizerConfig:
 
     def __post_init__(self) -> None:
         m = self.method
-        need = {
-            Method.GDM: ("omega",),
-            Method.CGM: ("gain", "t_end"),
-            Method.FGDM: ("omega", "fgdm_operator", "window"),
-            Method.FCTM: ("gain", "h", "t_end"),
-        }[m]
-        allowed = set(need) | {
-            Method.GDM: set(),
-            Method.CGM: {"h"},
-            Method.FGDM: set(),
-            Method.FCTM: {"v0"},
-        }[m]
+        need, optional = _PARAMETERS[m]
         for name in ("omega", "gain", "fgdm_operator", "window", "h", "t_end", "v0"):
             value = getattr(self, name)
             if name in need and value is None:
                 raise ConfigError(f"{m.value} requires {name}")
-            if value is not None and name not in allowed:
+            if value is not None and name not in need + optional:
                 raise ConfigError(f"{name} is not a {m.value} parameter")
         for name in ("omega", "gain", "t_end"):
             value = getattr(self, name)
@@ -338,29 +337,11 @@ def run_gdm(
 
 
 def _fgdm_operator(objective: Objective, cfg: OptimizerConfig) -> Callable[[float], float]:
-    """Fractional derivative of the scalar objective at a point, honoring
-    the configured window.  Polynomial objectives use the exact power
-    rule; sampled objectives fall back to the Grunwald-Letnikov sum."""
-    window = cfg.window
-    alpha = cfg.alpha
-    poly = objective.polynomial
-    if poly is not None:
-        if cfg.fgdm_operator == "caputo":
-            return lambda u: caputo_poly_derivative(poly, alpha, u, window.effective_lower_limit(u))
-        return lambda u: rl_poly_derivative(poly, alpha, u, window.effective_lower_limit(u))
-
-    def f_scalar(xs: np.ndarray) -> np.ndarray:
-        return np.array([objective.f(np.array([x])) for x in np.atleast_1d(xs)])
-
-    def op(u: float) -> float:
-        value = gl_derivative(f_scalar, alpha, u, window)
-        if cfg.fgdm_operator == "caputo" and alpha < 1:
-            # Caputo = RL minus the image of f at the lower limit
-            a_eff = window.effective_lower_limit(u)
-            value -= float(f_scalar(np.array([a_eff]))[0]) * (u - a_eff) ** (-alpha) / gamma(1.0 - alpha)
-        return value
-
-    return op
+    """Fractional derivative of the polynomial objective at a point, by the
+    exact power rule with the configured window's lower limit."""
+    poly, alpha, window = objective.polynomial, cfg.alpha, cfg.window
+    rule = caputo_poly_derivative if cfg.fgdm_operator == "caputo" else rl_poly_derivative
+    return lambda u: rule(poly, alpha, u, window.effective_lower_limit(u))
 
 
 def run_fgdm(
@@ -369,7 +350,8 @@ def run_fgdm(
     cfg: OptimizerConfig,
     stop: StoppingRule = StoppingRule(),
 ) -> RunResult:
-    """Fractional-gradient descent on a scalar objective.
+    """Fractional-gradient descent on a scalar polynomial objective (the
+    quadratic).
 
     The update direction is the configured fractional derivative of f, so
     the iteration settles on the operator's zero, which for alpha < 1 is
@@ -377,8 +359,8 @@ def run_fgdm(
     """
     if cfg.method is not Method.FGDM:
         raise ConfigError("run_fgdm requires an fgdm configuration")
-    if objective.dimension != 1:
-        raise ConfigError("fgdm is restricted to scalar objectives")
+    if objective.polynomial is None:
+        raise ConfigError("fgdm takes a scalar polynomial objective (the quadratic) only")
     derivative = _fgdm_operator(objective, cfg)
 
     def step(k: int, u: np.ndarray) -> tuple[np.ndarray, bool]:
@@ -475,9 +457,8 @@ def run_restarts(
     raises for the whole stack.  FCTM's history sum is a BLAS product over
     the R*d columns; with OpenBLAS on x86-64 it matched the one-start runs
     bit for bit for d = 8, 12 and 24, and to about 1e-15 relative for
-    d = 10.  CGM
-    (whose adaptive steps would couple the rows) and FGDM (scalar only)
-    run the rows one at a time.
+    d = 10.  CGM (whose adaptive steps would couple the rows) and FGDM
+    (scalar only) run the rows one at a time.
     """
     starts = np.atleast_2d(np.asarray(starts, dtype=float))
     if cfg.method is Method.GDM:

@@ -41,7 +41,7 @@ _COINCIDENCE_TOL = 1e-12
 
 @dataclass(frozen=True)
 class Objective:
-    """Evaluatable cost with analytic gradient and optional known optimum.
+    """Evaluatable cost with analytic gradient.
 
     ``f``, ``gradient`` and ``progress_metric`` take one state (d,) or a
     stack of states (R, d).  For a state they return a float (``f``,
@@ -50,15 +50,14 @@ class Objective:
     single-state calls.  ``progress_metric`` is the problem's progress
     statistic for stopping and first-passage bookkeeping (distance to
     optimum, residual norm, or raw energy).  ``polynomial`` is set for
-    scalar objectives that admit exact closed-form fractional derivatives.
+    scalar objectives that admit exact closed-form fractional derivatives
+    (the quadratic); FGDM runs only on such objectives.
     """
 
     name: str
     dimension: int
     f: Callable[[np.ndarray], float | np.ndarray]
     gradient: Callable[[np.ndarray], np.ndarray]
-    known_optimum: np.ndarray | None = None
-    known_minimum: float | None = None
     progress_metric: Callable[[np.ndarray], float | np.ndarray] | None = None
     polynomial: Polynomial | None = None
 
@@ -98,8 +97,6 @@ def make_quadratic(c: float) -> Objective:
         dimension=1,
         f=f,
         gradient=gradient,
-        known_optimum=np.array([c]),
-        known_minimum=0.0,
         progress_metric=metric,
         polynomial=Polynomial((1.0, -2.0 * c, c * c)),
     )
@@ -124,20 +121,16 @@ class VandermondeSpec:
     def residual_norm(self, u: np.ndarray) -> float:
         return float(np.linalg.norm(self.matrix @ u - self.target))
 
-    def condition_number(self) -> float:
-        return float(np.linalg.cond(self.matrix))
-
 
 def make_vandermonde(
     m: int,
-    u_true: np.ndarray | int | None = None,
+    u_true: np.ndarray | None = None,
 ) -> tuple[Objective, VandermondeSpec]:
     """Least-squares objective f(u) = ||Xu - g||^2 for the degree-m system.
 
     Nodes are x_j = (j+1)/(m+2), strictly inside (0, 1).  The target
     is generated as g = X u_true so the exact solution is known; u_true
-    defaults to the alternating +-1 pattern, or is drawn from a seed when
-    an int is given.
+    defaults to the alternating +-1 pattern.
     """
     if m < 1:
         raise ValueError("degree m must be >= 1")
@@ -146,8 +139,6 @@ def make_vandermonde(
 
     if u_true is None:
         coeffs = np.where(np.arange(n) % 2 == 0, 1.0, -1.0)
-    elif isinstance(u_true, (int, np.integer)):
-        coeffs = np.random.default_rng(int(u_true)).uniform(-1.0, 1.0, size=n)
     else:
         coeffs = np.asarray(u_true, dtype=float)
         if coeffs.shape != (n,):
@@ -176,8 +167,6 @@ def make_vandermonde(
         dimension=n,
         f=f,
         gradient=gradient,
-        known_optimum=spec.u_true,
-        known_minimum=0.0,
         progress_metric=_rowwise(spec.residual_norm),
     )
     return objective, spec
@@ -205,12 +194,6 @@ class ThomsonSpec:
         return np.column_stack(
             (sin_phi * np.cos(theta), sin_phi * np.sin(theta), np.cos(phi))
         )
-
-    def pole_proximity(self, u: np.ndarray, tol: float = 1e-6) -> np.ndarray:
-        """Indices of charges within ``tol`` of a coordinate pole, where the
-        azimuthal gradient component degenerates."""
-        _, phi = self.split(u)
-        return np.flatnonzero(np.abs(np.sin(phi)) < tol)
 
     def to_csv(self, u: np.ndarray, path) -> None:
         """Write final Cartesian coordinates as `i,x,y,z` rows."""
@@ -277,7 +260,6 @@ def make_thomson(n_charges: int) -> tuple[Objective, ThomsonSpec]:
         dimension=2 * n,
         f=f,
         gradient=gradient,
-        known_minimum=THOMSON_REFERENCE_ENERGIES.get(n),
         progress_metric=f,
     )
     return objective, spec

@@ -1,12 +1,11 @@
 """Special functions: Euler gamma and the two-parameter Mittag-Leffler function.
 
 E_{alpha,beta}(z) = sum_{k>=0} z^k / Gamma(alpha*k + beta) is evaluated in
-double precision for real z, scalar or array, along one of three paths:
+double precision for real z <= 0, scalar or array, along one of three paths:
 
 * z = 0 gives 1/Gamma(beta).
-* z > 0, and z < 0 with |z| <= 1/2, sum the Taylor series directly.  The
-  positive series never cancels; for |z| <= 1/2 every term is below
-  1.13 * 2^-k, so the alternating sum does not cancel either.
+* -1/2 <= z < 0 sums the Taylor series directly: every term is below
+  1.13 * 2^-k, so the alternating sum does not cancel.
 * z < -1/2 inverts the Laplace transform s^(alpha-beta) / (s^alpha - z) at
   t = 1 with the trapezoidal rule on an optimal parabolic contour, and adds
   the residues of the transform's poles that lie to the right of the
@@ -17,10 +16,9 @@ double precision for real z, scalar or array, along one of three paths:
 
 Arrays are evaluated in blocks of fixed size, so the work memory does not
 grow with the number of points, and each point's value does not depend on
-the other points of the call.  A positive argument whose series needs more
-than the term budget or whose value overflows, a negative argument whose
-value overflows (orders above 2 grow without bound), and a non-finite
-argument raise a typed error rather than returning a degraded value.
+the other points of the call.  A positive or non-finite argument, and a
+negative argument whose value overflows (orders above 2 grow without
+bound), raise a typed error rather than returning a degraded value.
 """
 
 from __future__ import annotations
@@ -36,9 +34,6 @@ __all__ = ["gamma", "mittag_leffler"]
 
 _EPS = 2.220446049250313e-16
 _LOG_EPS = math.log(_EPS)
-# stop after two consecutive terms below _TERM_TOLERANCE; reject beyond _MAX_TERMS
-_TERM_TOLERANCE = 1e-15
-_MAX_TERMS = 10000
 # Negative arguments up to this radius are summed directly; 56 terms leave a
 # tail below 1.13 * 2^-55 < 1e-16.
 _SERIES_RADIUS = 0.5
@@ -70,65 +65,24 @@ def _recip_gamma(x: float) -> float:
     return 1.0 / math.gamma(x)
 
 
-def _scan_terms(alpha: float, beta: float, z: float):
-    """Locate the series' peak term and stopping index in log space.
-
-    Works entirely with lgamma, so it never overflows.  Returns
-    (n_terms, max_log_term) or raises if the term budget is hit first.
-    """
-    log_abs_z = math.log(abs(z))
-    max_log = 0.0  # k = 0 term is 1/Gamma(beta); close enough for scaling
-    log_tol = math.log(_TERM_TOLERANCE)
-    small_run = 0
-    for k in range(_MAX_TERMS):
-        log_term = k * log_abs_z - math.lgamma(alpha * k + beta)
-        if log_term > max_log:
-            max_log = log_term
-        if log_term < log_tol:
-            small_run += 1
-            if small_run >= 2:
-                return k + 1, max_log
-        else:
-            small_run = 0
-    raise MittagLefflerError(
-        f"series for E_({alpha:g},{beta:g})({z:g}) needs more than "
-        f"{_MAX_TERMS} terms",
-        achieved_tolerance=math.exp(min(log_term, 700.0)),
-    )
-
-
-def _sum_float(alpha: float, beta: float, z: float, n_terms: int) -> float:
+def _series(alpha: float, beta: float, z: float) -> float:
+    """E_{alpha,beta}(z) for -1/2 <= z <= 0 by the Taylor series."""
+    total = 1.0 / math.gamma(beta)
+    if z == 0.0:
+        return total
     # Kahan-compensated summation; terms built in log space to avoid
     # overflow in z**k and Gamma separately.
-    log_abs_z = math.log(abs(z))
-    negative = z < 0
-    total = 1.0 / math.gamma(beta)
+    log_abs_z = math.log(-z)
     comp = 0.0
-    for k in range(1, n_terms):
+    for k in range(1, _SERIES_TERMS):
         term = math.exp(k * log_abs_z - math.lgamma(alpha * k + beta))
-        if negative and (k & 1):
+        if k & 1:
             term = -term
         y = term - comp
         t = total + y
         comp = (t - total) - y
         total = t
     return total
-
-
-def _series(alpha: float, beta: float, z: float) -> float:
-    """E_{alpha,beta}(z) for z >= -1/2 by the Taylor series."""
-    if z == 0.0:
-        return 1.0 / math.gamma(beta)
-    if z < 0:
-        return _sum_float(alpha, beta, z, _SERIES_TERMS)
-    n_terms, max_log_term = _scan_terms(alpha, beta, z)
-    # the positive series never cancels, but the value itself can overflow
-    if max_log_term > 700.0:
-        raise MittagLefflerError(
-            f"E_({alpha:g},{beta:g})({z:g}) overflows double precision",
-            achieved_tolerance=math.inf,
-        )
-    return _sum_float(alpha, beta, z, n_terms)
 
 
 def _bounded_region(phi0: float, phi1: float, p: float, log_tol: float):
@@ -269,9 +223,7 @@ def _invert(alpha: float, beta: float, z: np.ndarray) -> np.ndarray:
             residues = sum(cmath.exp((1.0 - beta) * cmath.log(pole) + pole).real for pole in poles)
         except OverflowError:
             raise MittagLefflerError(
-                f"E_({alpha:g},{beta:g})({x:g}) overflows double precision",
-                achieved_tolerance=math.inf,
-            ) from None
+                f"E_({alpha:g},{beta:g})({x:g}) overflows double precision") from None
         values[i] += 2.0 * residues / alpha
     return values
 
@@ -281,9 +233,7 @@ def mittag_leffler(alpha: float, beta: float, z: float | np.ndarray) -> float | 
 
     ``z`` is a scalar, which returns a float, or an array, which returns an
     array of its shape.  Raises :class:`MittagLefflerError` for a non-finite
-    argument, when the series for z > 0 does not reach the term tolerance
-    within the term budget (large z, small alpha), and when the value
-    overflows double precision.
+    or positive argument, and when the value overflows double precision.
     """
     alpha = float(alpha)
     beta = float(beta)
@@ -296,9 +246,11 @@ def mittag_leffler(alpha: float, beta: float, z: float | np.ndarray) -> float | 
     finite = np.isfinite(flat)
     if not finite.all():
         raise MittagLefflerError(
-            f"E_({alpha:g},{beta:g})({flat[~finite][0]:g}) needs a finite argument",
-            achieved_tolerance=math.inf,
-        )
+            f"E_({alpha:g},{beta:g})({flat[~finite][0]:g}) needs a finite argument")
+    positive = flat > 0
+    if positive.any():
+        raise MittagLefflerError(
+            f"E_({alpha:g},{beta:g})({flat[positive][0]:g}) is evaluated for z <= 0 only")
     out = np.empty(flat.shape)
     for start in range(0, flat.size, _BLOCK):
         block = flat[start:start + _BLOCK]

@@ -9,7 +9,6 @@ from fracopt import _selfcheck as sc
 from fracopt.errors import SolverConfigError, SolverDivergenceError, StiffnessError
 from fracopt.fdesolve import (
     FdeProblem,
-    FractionalOrder,
     linear_relaxation_solution,
     solve_pece,
     solve_reference_ode,
@@ -31,13 +30,12 @@ def make_linear(alpha, t_end=5.0, h=2e-3, u0=1.0, v0=None):
 
 class TestTypes:
     def test_order_bounds(self):
-        with pytest.raises(SolverConfigError):
-            FractionalOrder(0.0)
-        with pytest.raises(SolverConfigError):
-            FractionalOrder(2.5)
-        assert FractionalOrder(0.4).initial_conditions_required == 1
-        assert FractionalOrder(1.5).initial_conditions_required == 2
-        assert FractionalOrder(2.0).initial_conditions_required == 2
+        for alpha in (0.0, 2.5):
+            with pytest.raises(SolverConfigError, match="order"):
+                make_linear(alpha)
+        assert make_linear(2.0).alpha == 2.0
+        with pytest.raises(SolverConfigError, match="order"):
+            linear_relaxation_solution(2.5, 2.0, 3.0, 1.0, np.array([0.0, 1.0]))
 
     def test_v0_required_iff_order_above_one(self):
         with pytest.raises(SolverConfigError):

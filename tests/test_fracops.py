@@ -40,7 +40,7 @@ class TestPolynomial:
 
     def test_derivative(self):
         assert QUAD.derivative().coefficients == (2.0, -6.0)
-        assert Polynomial.constant(7.0).derivative().coefficients == (0.0,)
+        assert Polynomial((7.0,)).derivative().coefficients == (0.0,)
 
 
 class TestMemoryWindow:
@@ -105,11 +105,11 @@ class TestClosedFormRules:
         assert caputo_poly_derivative(QUAD, 1.0, 5.0, 0.0) == pytest.approx(4.0, abs=1e-12)
 
     def test_caputo_constant_is_zero(self):
-        assert caputo_poly_derivative(Polynomial.constant(7.0), 0.5, 2.0, 0.0) == 0.0
+        assert caputo_poly_derivative(Polynomial((7.0,)), 0.5, 2.0, 0.0) == 0.0
 
     def test_rl_constant_is_nonzero(self):
         expected = 9.0 / gamma(0.5)  # power rule with the gamma oracle
-        assert rl_poly_derivative(Polynomial.constant(9.0), 0.5, 1.0, 0.0) == pytest.approx(
+        assert rl_poly_derivative(Polynomial((9.0,)), 0.5, 1.0, 0.0) == pytest.approx(
             expected, abs=1e-12
         )
         assert expected == pytest.approx(5.077706251929807, abs=1e-12)

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import configparser
+import csv
 import math
 import tracemalloc
 from pathlib import Path
@@ -450,11 +451,17 @@ class TestCli:
             "[DEFAULT]\nomega = 0.1\n" + quadratic + gdm,
             quadratic + "[method.f]\nmethod = fctm\nalpha = 0.9\ngain = 1.0\nh = 0.1\nt_end = 1.0\noperator = rl\n",  # an fgdm key on fctm
             quadratic + "[method.f]\nmethod = fctm\nalpha = 0.9\ngain = 1.0\nh = 0.1\nt_end = 1.0\nwindow_length = 5\n",
+            "[experiment]\nproblem = vandermonde\ndegree = 3\n"  # fgdm off the quadratic
+            "[method.f]\nmethod = fgdm\nalpha = 0.9\nomega = 0.1\nk_max = 5\n",
+            quadratic + "[method.f]\nmethod = fgdm\nalpha = 0.9\nomega = 0.1\nk_max = 5\n"
+                        "window_step = 0.001\n",  # no longer a spec key
         ]
         path = tmp_path / "bad.ini"
         for text in bad_specs:
             path.write_text(text)
             assert main(["--out", str(tmp_path / "out"), "run", str(path)]) == EXIT_CONFIG, text
+        path.write_bytes((quadratic + "; caf\xe9\n" + gdm).encode("latin-1"))  # not UTF-8
+        assert main(["--out", str(tmp_path / "out"), "run", str(path)]) == EXIT_CONFIG
         assert not (tmp_path / "out").exists()
         path.write_text(quadratic + gdm)
         assert main(["--out", str(tmp_path / "out"), "--workers", "0", "run", str(path)]) == EXIT_CONFIG
@@ -463,6 +470,22 @@ class TestCli:
         # rejected before any cell runs
         assert main(["--out", str(tmp_path / "rep"), "--seed", "-1", "reproduce", "table2"]) == EXIT_CONFIG
         assert not (tmp_path / "rep").exists()
+
+    @pytest.mark.parametrize("key", ["operator = rl", "window_length = 5", "window_lower = 0.0"])
+    def test_rejected_key_named_as_written(self, tmp_path, capsys, key):
+        path = tmp_path / "bad.ini"
+        path.write_text("[experiment]\nproblem = quadratic\n\n[method.f]\nmethod = fctm\n"
+                        f"alpha = 0.9\ngain = 1.0\nh = 0.1\nt_end = 1.0\n{key}\n")
+        assert main(["--out", str(tmp_path / "out"), "run", str(path)]) == EXIT_CONFIG
+        name = key.split(" =")[0]
+        assert f"[method.f]: {name} is not a fctm key" in capsys.readouterr().err
+
+    def test_shipped_fgdm_comparison_runs(self, tmp_path):
+        out = tmp_path / "out"
+        assert main(["--out", str(out), "run", str(SPECS / "fgdm_comparison.ini")]) == EXIT_OK
+        with open(out / "fgdm_comparison__summary.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert [r["status"] for r in rows] == ["completed"] * 4
 
     def test_unknown_reproduce_target_rejected_by_parser(self):
         with pytest.raises(SystemExit):

@@ -180,23 +180,6 @@ class TestFgdm:
         # bound of 3 (2 - alpha), u stays away from the extremum 3
         assert sc.fgdm_shift_error(alpha, 5000) <= sc.FGDM_SHIFT_BOUND
 
-    def test_sampled_objective_uses_gl_fallback(self):
-        # same quadratic but without the polynomial shortcut
-        sampled = Objective(
-            name="sampled", dimension=1,
-            f=lambda u: np.sum((u - 3.0) ** 2, axis=-1),
-            gradient=lambda u: 2.0 * (u - 3.0),
-            known_optimum=np.array([3.0]),
-            progress_metric=lambda u: np.abs(u[..., 0] - 3.0),
-        )
-        h = 1e-2
-        window = MemoryWindow(lower_limit=0.0, memory_length=h, step=h / 50.0)
-        cfg = OptimizerConfig(method=Method.FGDM, alpha=0.9, omega=0.05,
-                              fgdm_operator="caputo", window=window)
-        res = run_fgdm(sampled, 1.0, cfg, StoppingRule(k_max=400))
-        expected = 3.0 + h * (1.0 - 0.9) / (2.0 - 0.9)
-        assert res.converged_to[0] == pytest.approx(expected, abs=5e-3)
-
     def test_domain_exit_aborts_with_diagnostic(self):
         cfg = OptimizerConfig(method=Method.FGDM, alpha=0.9, omega=0.5,
                               fgdm_operator="rl", window=FIXED_WINDOW)
@@ -206,10 +189,18 @@ class TestFgdm:
 
     def test_scalar_only(self):
         obj, _ = make_vandermonde(3)
+        # the same quadratic without its polynomial
+        sampled = Objective(
+            name="sampled", dimension=1,
+            f=lambda u: np.sum((u - 3.0) ** 2, axis=-1),
+            gradient=lambda u: 2.0 * (u - 3.0),
+            progress_metric=lambda u: np.abs(u[..., 0] - 3.0),
+        )
         cfg = OptimizerConfig(method=Method.FGDM, alpha=0.9, omega=0.05,
                               fgdm_operator="caputo", window=FIXED_WINDOW)
-        with pytest.raises(ConfigError):
-            run_fgdm(obj, 1.0, cfg)
+        for objective in (obj, sampled):
+            with pytest.raises(ConfigError, match="polynomial"):
+                run_fgdm(objective, 1.0, cfg)
 
 
 class TestFctm:

@@ -43,7 +43,7 @@ class TestGamma:
 
 class TestMittagLeffler:
     def test_exponential_point(self):
-        assert mittag_leffler(1.0, 1.0, 1.0) == pytest.approx(math.e, abs=1e-12)
+        assert mittag_leffler(1.0, 1.0, -1.0) == pytest.approx(1.0 / math.e, abs=1e-12)
 
     def test_zero_argument_normalization(self):
         assert mittag_leffler(0.9, 1.0, 0.0) == 1.0
@@ -85,8 +85,7 @@ class TestMittagLeffler:
     @pytest.mark.parametrize("alpha", [0.3, 0.9, 1.0, 1.5, 2.0, 3.3])
     def test_array_call_equals_scalar_calls(self, alpha, rng):
         # every path in one array, longer than one evaluation block
-        z = np.concatenate((-(10.0 ** rng.uniform(-4.0, 2.5, 700)), rng.uniform(0.0, 3.0, 50),
-                            [0.0, -0.0, -0.5, 0.5]))
+        z = np.concatenate((-(10.0 ** rng.uniform(-4.0, 2.5, 700)), [0.0, -0.0, -0.5]))
         rng.shuffle(z)
         values = mittag_leffler(alpha, 2.0, z)
         scalars = [mittag_leffler(alpha, 2.0, x) for x in z.tolist()]
@@ -117,18 +116,12 @@ class TestMittagLeffler:
             )
         assert mittag_leffler(0.9, 1.0, -60.0) == pytest.approx(float(ref), abs=1e-10)
 
-    def test_max_terms_exhaustion_reports_tolerance(self):
-        with pytest.raises(MittagLefflerError) as err:
-            mittag_leffler(0.5, 1.0, 50.0)
-        assert math.isfinite(err.value.achieved_tolerance)
-        assert err.value.achieved_tolerance > 1e-15
-
-    def test_positive_overflow_rejected(self):
-        with pytest.raises(MittagLefflerError, match="overflows"):
-            mittag_leffler(1.0, 1.0, 800.0)
-
-    def test_large_positive_argument_within_range(self):
-        assert mittag_leffler(1.0, 1.0, 20.0) == pytest.approx(math.exp(20.0), rel=1e-12)
+    def test_positive_argument_rejected(self):
+        # the supported domain is z <= 0, where every caller evaluates
+        with pytest.raises(MittagLefflerError, match="z <= 0"):
+            mittag_leffler(1.0, 1.0, 1e-300)
+        with pytest.raises(MittagLefflerError, match=r"\(0\.5\) is evaluated for z <= 0"):
+            mittag_leffler(0.9, 2.0, np.array([-1.0, 0.0, 0.5, 3.0]))
 
     def test_against_reference_values(self, rng):
         # arbitrary-precision series as the independent oracle; small orders
@@ -136,7 +129,7 @@ class TestMittagLeffler:
         for _ in range(25):
             alpha = rng.uniform(0.3, 2.0)
             beta = rng.choice([1.0, 2.0])
-            z = rng.uniform(-30.0 if alpha >= 0.6 else -5.0, 3.0)
+            z = rng.uniform(-30.0 if alpha >= 0.6 else -5.0, 0.0)
             with mpmath.workdps(60):
                 ref = mpmath.nsum(
                     lambda k: mpmath.mpf(z) ** k / mpmath.gamma(alpha * k + beta),
