@@ -123,6 +123,11 @@ class TestMittagLeffler:
         with pytest.raises(MittagLefflerError, match=r"\(0\.5\) is evaluated for z <= 0"):
             mittag_leffler(0.9, 2.0, np.array([-1.0, 0.0, 0.5, 3.0]))
 
+    def test_positive_overflow_rejected(self):
+        # E_{1,1}(800) = e^800 overflows a float; it is outside z <= 0 too
+        with pytest.raises(MittagLefflerError, match="z <= 0"):
+            mittag_leffler(1.0, 1.0, 800.0)
+
     def test_against_reference_values(self, rng):
         # arbitrary-precision series as the independent oracle; small orders
         # only admit small arguments before the term count explodes
