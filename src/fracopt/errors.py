@@ -31,11 +31,9 @@ class GammaPoleError(FracoptError, ValueError):
 
 
 class MittagLefflerError(FracoptError):
-    """E_{alpha,beta}(z) cannot be evaluated in double precision.
+    """E_{alpha,beta}(z) evaluated outside its domain, the finite z <= 0.
 
-    Raised for an argument outside the supported domain, the finite
-    z <= 0, and for a value that overflows (orders above 2 grow without
-    bound along the negative axis).
+    An order outside 0 < alpha, beta <= 2 raises :class:`OrderRangeError`.
     """
 
 

@@ -105,7 +105,7 @@ class OptimizerConfig:
     window: MemoryWindow | None = None
     h: float | None = None
     t_end: float | None = None
-    v0: float | np.ndarray | None = None
+    v0: float | None = None
 
     def __post_init__(self) -> None:
         m = self.method
@@ -120,7 +120,9 @@ class OptimizerConfig:
             value = getattr(self, name)
             if value is not None and not 0 < value < math.inf:
                 raise ConfigError(f"{name} must be finite and > 0")
-        if self.v0 is not None and not np.all(np.isfinite(self.v0)):
+        if self.v0 is not None and np.ndim(self.v0) != 0:
+            raise ConfigError("v0 must be one float, shared by every coordinate")
+        if self.v0 is not None and not math.isfinite(self.v0):
             raise ConfigError("v0 must be finite")
         if m in (Method.GDM, Method.CGM) and self.alpha != 1.0:
             raise ConfigError(f"{m.value} runs at alpha = 1")
@@ -397,8 +399,6 @@ def _fctm(objective: Objective, starts: np.ndarray, cfg: OptimizerConfig,
     v0 = None
     if cfg.alpha > 1:
         v0 = 0.0 if cfg.v0 is None else cfg.v0
-        if np.size(v0) > 1:
-            v0 = np.tile(v0, n_rows)
     problem = FdeProblem(alpha=cfg.alpha, field=fde_field, u0=starts.reshape(-1),
                          t_end=cfg.t_end, h=cfg.h, v0=v0)
     traj = solve_pece(problem)

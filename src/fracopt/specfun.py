@@ -1,24 +1,25 @@
 """Special functions: Euler gamma and the two-parameter Mittag-Leffler function.
 
 E_{alpha,beta}(z) = sum_{k>=0} z^k / Gamma(alpha*k + beta) is evaluated in
-double precision for real z <= 0, scalar or array, along one of three paths:
+double precision for 0 < alpha, beta <= 2, the order range of the solver,
+and real z <= 0, scalar or array, along one of three paths:
 
 * z = 0 gives 1/Gamma(beta).
 * -1/2 <= z < 0 sums the Taylor series directly: every term is below
   1.13 * 2^-k, so the alternating sum does not cancel.
 * z < -1/2 inverts the Laplace transform s^(alpha-beta) / (s^alpha - z) at
   t = 1 with the trapezoidal rule on an optimal parabolic contour, and adds
-  the residues of the transform's poles that lie to the right of the
-  contour (these exist for orders above 1).  R. Garrappa, "Numerical
-  evaluation of two and three parameter Mittag-Leffler functions", SIAM J.
-  Numer. Anal. 53(3), 2015.  The contour holds at most 2*200 + 1 nodes, so
-  the cost per point does not grow with |z|.
+  the residue of the transform's pole pair when it lies to the right of
+  the contour (the pair exists for orders above 1).  R. Garrappa,
+  "Numerical evaluation of two and three parameter Mittag-Leffler
+  functions", SIAM J. Numer. Anal. 53(3), 2015.  The contour holds at most
+  2*200 + 1 nodes, so the cost per point does not grow with |z|.
 
 Arrays are evaluated in blocks of fixed size, so the work memory does not
 grow with the number of points, and each point's value does not depend on
-the other points of the call.  A positive or non-finite argument, and a
-negative argument whose value overflows (orders above 2 grow without
-bound), raise a typed error rather than returning a degraded value.
+the other points of the call.  An order outside the range, and a positive
+or non-finite argument, raise a typed error before any work.  Inside the
+range no value overflows: the pole pair has Re s <= 0.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ import math
 
 import numpy as np
 
-from .errors import GammaPoleError, MittagLefflerError
+from .errors import GammaPoleError, MittagLefflerError, OrderRangeError
 
 __all__ = ["gamma", "mittag_leffler"]
 
@@ -85,37 +86,22 @@ def _series(alpha: float, beta: float, z: float) -> float:
     return total
 
 
-def _bounded_region(phi0: float, phi1: float, p: float, log_tol: float):
-    """Contour (mu, h, n) between singularities at phi0 < phi1.
+def _bounded_region(phi1: float, log_tol: float):
+    """Contour (mu, h, n) between the origin and a pole at phi1.
 
-    Garrappa's OptimalParam_RB at t = 1, for a right boundary that is a
-    simple pole (strength q = 1); p is the strength of the left one.
-    Returns n = inf when the region cannot reach the tolerance.
+    Garrappa's OptimalParam_RB at t = 1, for a left boundary at the origin
+    with strength 0 and a right boundary that is a simple pole.
     """
     f_max = math.exp(log_tol - _LOG_EPS)
-    sq0 = math.sqrt(phi0)
-    sq1 = min(math.sqrt(phi1), 2.0 * math.sqrt(log_tol - _LOG_EPS) - sq0)
-    if p < 1e-14:
-        # only the origin has strength 0, so sq0 = 0 and f_min = 1.01 < f_max
-        f_bar = 1.01 + 1.01 / f_max * (f_max - 1.01)
-        sqb0 = 0.0
-        sqb1 = 2.0 * sq1 / (2.0 + 1.0 / f_bar)
-    else:
-        f_min = 1.01 * (sq0 + sq1) / (sq1 - sq0) ** max(p, 1.0)
-        if f_min >= f_max:
-            return 0.0, 0.0, math.inf
-        f_min = max(f_min, 1.5)
-        f_bar = f_min + f_min / f_max * (f_max - f_min)
-        fp = f_bar ** (-1.0 / p)
-        fq = 1.0 / f_bar
-        w = -phi1 / log_tol
-        den = 2.0 + w - (1.0 + w) * fp + fq
-        sqb0 = ((2.0 + w + fq) * sq0 + fp * sq1) / den
-        sqb1 = (-(1.0 + w) * fq * sq0 + (2.0 + w - (1.0 + w) * fp) * sq1) / den
+    sq1 = min(math.sqrt(phi1), 2.0 * math.sqrt(log_tol - _LOG_EPS))
+    f_bar = 1.01 + 1.01 / f_max * (f_max - 1.01)
+    sqb1 = 2.0 * sq1 / (2.0 + 1.0 / f_bar)
     log_tol -= math.log(f_bar)
     w = -sqb1 * sqb1 / log_tol
-    mu = (((1.0 + w) * sqb0 + sqb1) / (2.0 + w)) ** 2
-    h = -2.0 * math.pi / log_tol * (sqb1 - sqb0) / ((1.0 + w) * sqb0 + sqb1)
+    mu = (sqb1 / (2.0 + w)) ** 2
+    # Garrappa's (sqb1 - sqb0) / ((1 + w) sqb0 + sqb1) at sqb0 = 0, left
+    # unreduced: x * sqb1 / sqb1 can differ from x in the last bit
+    h = -2.0 * math.pi / log_tol * sqb1 / sqb1
     return mu, h, math.ceil(math.sqrt(1.0 - log_tol / mu) / h)
 
 
@@ -156,38 +142,34 @@ def _unbounded_region(phi0: float, p: float, log_tol: float):
 
 
 def _contour(alpha: float, beta: float, z: float):
-    """Optimal contour for E_{alpha,beta}(z), z < 0, and the poles beyond it.
+    """Optimal contour for E_{alpha,beta}(z), z < 0, and the pole beyond it.
 
-    The poles s = |z|^(1/alpha) e^(+-i psi), psi = (2j+1) pi / alpha < pi, of
-    the transform split the right half plane into regions by phi(s) =
-    (Re s + |s|)/2.  Each region whose left end keeps round-off in budget
-    admits a contour; the one with the fewest nodes wins, and the poles to
-    its right contribute residues.  Returns (mu, h, n, upper-half-plane
-    poles beyond the contour).
+    For 1 < alpha <= 2 the transform has one pole pair s = |z|^(1/alpha)
+    e^(+-i pi/alpha), at phi(s) = (Re s + |s|)/2 > 0 (none for alpha <= 1).
+    A pole splits the right half plane: the contour runs left of it, with
+    its residue added, or right of it when round-off stays in budget there;
+    the one with fewer nodes wins.  Returns (mu, h, n, the upper-half-plane
+    pole beyond the contour or None).
     """
     r = (-z) ** (1.0 / alpha)
-    poles = []  # upper-half-plane poles by increasing phi
-    for j in range(math.ceil((alpha - 1.0) / 2.0) - 1, -1, -1):
-        psi = (2 * j + 1) * math.pi / alpha
-        phi = r * (1.0 + math.cos(psi)) / 2.0
-        if phi > 1e-15:
-            poles.append((phi, cmath.rect(r, psi)))
-    levels = [0.0] + [phi for phi, _ in poles]
-    strengths = [max(0.0, -2.0 * (alpha - beta + 1.0))] + [1.0] * len(poles)
-    admissible = [j for j, phi in enumerate(levels) if phi < _LOG_TARGET - _LOG_EPS]
+    psi = math.pi / alpha
+    phi = r * (1.0 + math.cos(psi)) / 2.0
     log_tol = _LOG_TARGET
     while True:
-        best = (0.0, 0.0, math.inf, 0)
-        for j in admissible:
-            if j + 1 < len(levels):
-                mu, h, n = _bounded_region(levels[j], levels[j + 1], strengths[j], log_tol)
-            else:
-                mu, h, n = _unbounded_region(levels[j], strengths[j], log_tol)
-            if n < best[2]:
-                best = (mu, h, n, j)
-        if best[2] <= _MAX_NODES:
-            mu, h, n, j = best
-            return mu, h, n, [pole for _, pole in poles[j:]]
+        if alpha <= 1 or phi <= 1e-15:
+            mu, h, n = _unbounded_region(0.0, max(0.0, -2.0 * (alpha - beta + 1.0)), log_tol)
+            pole = None
+        else:
+            pole = cmath.rect(r, psi)
+            # Re s <= 0 exactly for alpha <= 2; cos(pi/2) rounds to 6e-17 > 0
+            pole = complex(min(pole.real, 0.0), pole.imag)
+            mu, h, n = _bounded_region(phi, log_tol)
+            if phi < _LOG_TARGET - _LOG_EPS:
+                right = _unbounded_region(phi, 1.0, log_tol)
+                if right[2] < n:
+                    (mu, h, n), pole = right, None
+        if n <= _MAX_NODES:
+            return mu, h, n, pole
         log_tol += math.log(10.0)
 
 
@@ -215,16 +197,10 @@ def _invert(alpha: float, beta: float, z: np.ndarray) -> np.ndarray:
     terms = np.where(k <= n[:, None], terms, 0.0)
     # summed in node order, so zero padding leaves each point's value as is
     values = np.cumsum(terms, axis=1)[:, -1] * h / (2.0 * math.pi)
-    if alpha <= 1:
-        return values
-    for i, (x, (*_, poles)) in enumerate(zip(z.tolist(), contours)):
-        # each pole s and its conjugate add 2 Re(s^(1-beta) e^s) / alpha
-        try:
-            residues = sum(cmath.exp((1.0 - beta) * cmath.log(pole) + pole).real for pole in poles)
-        except OverflowError:
-            raise MittagLefflerError(
-                f"E_({alpha:g},{beta:g})({x:g}) overflows double precision") from None
-        values[i] += 2.0 * residues / alpha
+    for i, (*_, pole) in enumerate(contours):
+        if pole is not None:
+            # the pole s and its conjugate add 2 Re(s^(1-beta) e^s) / alpha
+            values[i] += 2.0 * cmath.exp((1.0 - beta) * cmath.log(pole) + pole).real / alpha
     return values
 
 
@@ -232,15 +208,15 @@ def mittag_leffler(alpha: float, beta: float, z: float | np.ndarray) -> float | 
     """Two-parameter Mittag-Leffler function E_{alpha,beta}(z) for real z.
 
     ``z`` is a scalar, which returns a float, or an array, which returns an
-    array of its shape.  Raises :class:`MittagLefflerError` for a non-finite
-    or positive argument, and when the value overflows double precision.
+    array of its shape.  Raises :class:`OrderRangeError` unless 0 < alpha <= 2
+    and 0 < beta <= 2, the solver's order range, and
+    :class:`MittagLefflerError` for a non-finite or positive argument.
     """
     alpha = float(alpha)
     beta = float(beta)
-    if not alpha > 0:
-        raise ValueError(f"alpha must be > 0, got {alpha:g}")
-    if not beta > 0:
-        raise ValueError(f"beta must be > 0, got {beta:g}")
+    if not (0 < alpha <= 2 and 0 < beta <= 2):
+        raise OrderRangeError(
+            f"E_(alpha,beta) needs 0 < alpha <= 2 and 0 < beta <= 2, got ({alpha!r}, {beta!r})")
     zs = np.asarray(z, dtype=float)
     flat = zs.ravel()
     finite = np.isfinite(flat)

@@ -77,6 +77,12 @@ class TestConfigValidation:
             OptimizerConfig(method=Method.FCTM, gain=1.0, h=1e-3, t_end=1.0,
                             alpha=0.9, v0=0.5)
 
+    def test_v0_is_one_float(self):
+        # the v0 spec key is one float, shared by every coordinate of every restart
+        with pytest.raises(ConfigError, match="one float"):
+            OptimizerConfig(method=Method.FCTM, gain=1.0, h=1e-3, t_end=1.0,
+                            alpha=1.5, v0=np.array([0.1, 0.2]))
+
     def test_positivity(self):
         with pytest.raises(ConfigError):
             OptimizerConfig(method=Method.GDM, omega=-0.1)
@@ -293,7 +299,7 @@ class TestRestarts:
 
     @pytest.mark.parametrize("alpha", [0.7, 1.3])
     def test_fctm_stack_equals_one_start_runs(self, alpha):
-        cfg = fctm_cfg(alpha, h=0.005, t_end=1.5, v0=np.linspace(-0.1, 0.1, 8) if alpha > 1 else None)
+        cfg = fctm_cfg(alpha, h=0.005, t_end=1.5, v0=0.05 if alpha > 1 else None)
         stop = StoppingRule(thresholds=(5.0, 4.0))
         results = run_restarts(self.THOMSON, self.STARTS, cfg, stop)
         assert len(results) == 3

@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 
 from fracopt import _selfcheck as sc
-from fracopt.errors import GammaPoleError, MittagLefflerError
+from fracopt.errors import GammaPoleError, MittagLefflerError, OrderRangeError, SolverConfigError
+from fracopt.fdesolve import FdeProblem, linear_relaxation_solution
 from fracopt.specfun import gamma, mittag_leffler
 
 SQRT_PI = 1.7724538509055160
@@ -82,7 +83,7 @@ class TestMittagLeffler:
                 ref = mpmath.invertlaplace(lambda s: s ** (a - beta) / (s**a - z), 1, method="talbot")
                 assert abs(value - float(ref)) <= 1e-10, (z, value, ref)
 
-    @pytest.mark.parametrize("alpha", [0.3, 0.9, 1.0, 1.5, 2.0, 3.3])
+    @pytest.mark.parametrize("alpha", [0.3, 0.9, 1.0, 1.5, 2.0])
     def test_array_call_equals_scalar_calls(self, alpha, rng):
         # every path in one array, longer than one evaluation block
         z = np.concatenate((-(10.0 ** rng.uniform(-4.0, 2.5, 700)), [0.0, -0.0, -0.5]))
@@ -103,10 +104,22 @@ class TestMittagLeffler:
         with pytest.raises(MittagLefflerError, match="finite"):
             mittag_leffler(0.9, 1.0, np.array([-1.0, z, 1.0]))
 
-    def test_negative_overflow_rejected(self):
-        # orders above 2 grow exponentially along the negative axis
-        with pytest.raises(MittagLefflerError, match="overflows"):
+    def test_orders_above_two_rejected(self):
+        # the solver's order range; above it E_(a,b) may grow without bound
+        with pytest.raises(OrderRangeError, match="alpha <= 2"):
             mittag_leffler(3.5, 1.0, -1e12)
+        with pytest.raises(OrderRangeError, match="beta <= 2"):
+            mittag_leffler(0.9, 2.5, -1.0)
+
+    def test_order_two_stays_bounded(self):
+        # E_(2,1)(-x) = cos(sqrt(x)): the pole pair sits on the imaginary axis,
+        # where rounding once put it to the right and grew its residue
+        values = mittag_leffler(2.0, 1.0, -np.logspace(30, 300, 541))
+        assert np.all(np.abs(values) <= 1.0)
+
+    def test_order_two_is_the_cosine(self):
+        t = np.linspace(0.0, 50.0, 1001)
+        assert np.max(np.abs(mittag_leffler(2.0, 1.0, -t * t) - np.cos(t))) <= 2e-16
 
     def test_large_argument_within_term_budget(self):
         with mpmath.workdps(60):
@@ -149,6 +162,27 @@ class TestMittagLeffler:
             mittag_leffler(0.0, 1.0, 0.5)
         with pytest.raises(ValueError):
             mittag_leffler(0.9, -1.0, 0.5)
+
+
+def test_one_order_range_for_solver_and_mittag_leffler():
+    # the solver, its closed form and E_(a,b) all cover 0 < a <= 2
+    def problem(alpha):
+        return FdeProblem(alpha=alpha, field=lambda u: -u, u0=np.ones(1), t_end=1.0, h=0.1, v0=0.0)
+
+    times = np.linspace(0.0, 1.0, 5)
+    assert problem(2.0).alpha == 2.0
+    assert np.all(np.isfinite(linear_relaxation_solution(2.0, 1.0, 0.0, 1.0, times, v0=1.0)))
+    assert mittag_leffler(2.0, 2.0, -1.0) == pytest.approx(math.sin(1.0), abs=1e-15)
+    for alpha in (math.nextafter(2.0, 3.0), 0.0):
+        with pytest.raises(SolverConfigError):
+            problem(alpha)
+        with pytest.raises(SolverConfigError):
+            linear_relaxation_solution(alpha, 1.0, 0.0, 1.0, times)
+        with pytest.raises(OrderRangeError):
+            mittag_leffler(alpha, 1.0, -1.0)
+    for beta in (0.0, math.nextafter(2.0, 3.0)):
+        with pytest.raises(OrderRangeError):
+            mittag_leffler(1.0, beta, -1.0)
 
 
 def test_runtime_import_leaves_out_mpmath(fresh_python):
