@@ -259,8 +259,12 @@ def linear_relaxation_solution(
                   + v0 t E_{alpha,2}(-rate t^alpha)   [second term: alpha > 1]
 
     Serves as the analytic benchmark for the PECE solver on linear fields.
+    A nonzero ``v0`` at alpha <= 1 raises :class:`SolverConfigError`, as
+    :class:`FdeProblem` does: such an order takes no initial derivative.
     """
     alpha = _order(alpha)
+    if alpha <= 1 and v0 != 0.0:
+        raise SolverConfigError("v0 is only meaningful for alpha > 1")
     times = np.asarray(times, dtype=float)
     z = -rate * times**alpha
     out = target + (u0 - target) * mittag_leffler(alpha, 1.0, z)

@@ -498,13 +498,14 @@ def stability_envelope_check(
 
     V(t) = ||u(t) - u*||^2 with eta the strong-convexity constant.  The
     envelope holds for orders in (0, 1]; larger orders raise
-    :class:`OrderRangeError` since the bound is not established there.
+    :class:`OrderRangeError` since the bound is not established there.  An
+    ``eta`` that is not finite and > 0 raises :class:`ConfigError`.
     """
     alpha = float(alpha)
     if not 0 < alpha <= 1:
         raise OrderRangeError(f"envelope check requires alpha in (0, 1], got {alpha:g}")
-    if not eta > 0:
-        raise ValueError("eta must be > 0")
+    if not (math.isfinite(eta) and eta > 0):
+        raise ConfigError(f"eta must be finite and > 0, got {eta!r}")
     u_star = np.atleast_1d(np.asarray(u_star, dtype=float))
     diff = trace.states - u_star[None, :]
     energies = np.sum(diff * diff, axis=1)

@@ -15,11 +15,14 @@ and real z <= 0, scalar or array, along one of three paths:
   functions", SIAM J. Numer. Anal. 53(3), 2015.  The contour holds at most
   2*200 + 1 nodes, so the cost per point does not grow with |z|.
 
-Arrays are evaluated in blocks of fixed size, so the work memory does not
-grow with the number of points, and each point's value does not depend on
-the other points of the call.  An order outside the range, and a positive
-or non-finite argument, raise a typed error before any work.  Inside the
-range no value overflows: the pole pair has Re s <= 0.
+Arrays are evaluated in blocks of about 6 400 contour nodes: 32 points of
+up to 201 nodes each for alpha > 1, where every point has its own contour,
+and more points of the one contour that serves a whole call for alpha <= 1.
+The work memory, about 100 KB per complex temporary and under 1 MiB in all,
+does not grow with the number of points, and each point's value does not
+depend on the other points of the call.  An order outside the range, and a
+positive or non-finite argument, raise a typed error before any work.
+Inside the range no value overflows: the pole pair has Re s <= 0.
 """
 
 from __future__ import annotations
@@ -41,10 +44,11 @@ _SERIES_RADIUS = 0.5
 _SERIES_TERMS = 56
 # Contour quadrature: target accuracy (log), node cap per half contour (the
 # target is relaxed by a decade until the cheapest admissible contour fits),
-# and points per array block.
+# and nodes per array block: 32 points at the cap, so one complex temporary
+# of a block takes about 100 KB and stays in a core's L2 cache.
 _LOG_TARGET = math.log(1e-15)
 _MAX_NODES = 200
-_BLOCK = 256
+_BLOCK_NODES = 32 * (_MAX_NODES + 1)
 
 
 def gamma(x: float) -> float:
@@ -173,16 +177,12 @@ def _contour(alpha: float, beta: float, z: float):
         log_tol += math.log(10.0)
 
 
-def _invert(alpha: float, beta: float, z: np.ndarray) -> np.ndarray:
-    """E_{alpha,beta}(z) for z < -1/2 by contour inversion plus residues.
+def _nodes(alpha: float, beta: float, contours):
+    """Node table of the contours: (h, padding mask, s^alpha, e^s s^(alpha-beta), ds).
 
-    For alpha <= 1 there are no poles, so one contour serves every z and
-    the node factors other than 1/(s^alpha - z) are computed once.
+    Row i holds nodes k = 0 .. max n of contour i; nodes past its own n are
+    masked out.  Every factor of a node but 1/(s^alpha - z) is in the table.
     """
-    if alpha <= 1:
-        contours = [_contour(alpha, beta, -1.0)]
-    else:
-        contours = [_contour(alpha, beta, x) for x in z.tolist()]
     mu = np.array([c[0] for c in contours])[:, None]
     h = np.array([c[1] for c in contours])
     n = np.array([c[2] for c in contours])
@@ -190,14 +190,29 @@ def _invert(alpha: float, beta: float, z: np.ndarray) -> np.ndarray:
     u = h[:, None] * k
     s = mu * (1.0 - u * u) + 2j * mu * u  # mu (1 + iu)^2
     log_s = np.log(s)
-    ds = 2.0 * mu * (1j - u)
-    terms = (np.exp(s + (alpha - beta) * log_s) / (np.exp(alpha * log_s) - z[:, None]) * ds).imag
+    num = np.exp(s + (alpha - beta) * log_s)
+    return h, k <= n[:, None], np.exp(alpha * log_s), num, 2.0 * mu * (1j - u)
+
+
+def _invert(alpha: float, beta: float, z: np.ndarray, table=None) -> np.ndarray:
+    """E_{alpha,beta}(z) for z < -1/2 by contour inversion plus residues.
+
+    ``table`` holds the nodes of one contour that serves every z (alpha <= 1,
+    no poles); without it each z gets its own contour and pole.
+    """
+    poles = ()
+    if table is None:
+        contours = [_contour(alpha, beta, x) for x in z.tolist()]
+        poles = [c[3] for c in contours]
+        table = _nodes(alpha, beta, contours)
+    h, mask, s_alpha, num, ds = table
+    terms = (num / (s_alpha - z[:, None]) * ds).imag
     # node -k mirrors node k: together they give twice its imaginary part
     terms[:, 1:] *= 2.0
-    terms = np.where(k <= n[:, None], terms, 0.0)
+    terms = np.where(mask, terms, 0.0)
     # summed in node order, so zero padding leaves each point's value as is
     values = np.cumsum(terms, axis=1)[:, -1] * h / (2.0 * math.pi)
-    for i, (*_, pole) in enumerate(contours):
+    for i, pole in enumerate(poles):
         if pole is not None:
             # the pole s and its conjugate add 2 Re(s^(1-beta) e^s) / alpha
             values[i] += 2.0 * cmath.exp((1.0 - beta) * cmath.log(pole) + pole).real / alpha
@@ -228,14 +243,22 @@ def mittag_leffler(alpha: float, beta: float, z: float | np.ndarray) -> float | 
         raise MittagLefflerError(
             f"E_({alpha:g},{beta:g})({flat[positive][0]:g}) is evaluated for z <= 0 only")
     out = np.empty(flat.shape)
-    for start in range(0, flat.size, _BLOCK):
-        block = flat[start:start + _BLOCK]
-        values = out[start:start + _BLOCK]  # a view: filled in place
+    # for alpha <= 1 there are no poles, so one contour serves every z; a
+    # block holds as many points as fit _BLOCK_NODES nodes of their contours
+    shared = None
+    width = _MAX_NODES + 1
+    if alpha <= 1 and flat.size and flat.min() < -_SERIES_RADIUS:
+        shared = _nodes(alpha, beta, [_contour(alpha, beta, -1.0)])
+        width = shared[1].shape[1]
+    size = _BLOCK_NODES // width
+    for start in range(0, flat.size, size):
+        block = flat[start:start + size]
+        values = out[start:start + size]  # a view: filled in place
         far = block < -_SERIES_RADIUS
         for i in np.flatnonzero(~far).tolist():
             values[i] = _series(alpha, beta, float(block[i]))
         if far.any():
-            values[far] = _invert(alpha, beta, block[far])
+            values[far] = _invert(alpha, beta, block[far], shared)
     if zs.ndim == 0:
         return float(out[0])
     return out.reshape(zs.shape)

@@ -45,6 +45,16 @@ class TestTypes:
             FdeProblem(alpha=0.9, field=linear_field, u0=np.array([1.0]),
                        t_end=1.0, h=1e-2, v0=np.array([0.0]))
 
+    def test_closed_form_rejects_v0_at_order_one_or_below(self):
+        # the v0 term exists for alpha > 1 only; it was dropped without a word
+        times = np.linspace(0.0, 2.0, 21)
+        for alpha in (0.5, 1.0):
+            with pytest.raises(SolverConfigError, match="v0"):
+                linear_relaxation_solution(alpha, 2.0, 3.0, 1.0, times, v0=5.0)
+            # v0 = 0 stays accepted at every order
+            assert np.array_equal(linear_relaxation_solution(alpha, 2.0, 3.0, 1.0, times, v0=0.0),
+                                  linear_relaxation_solution(alpha, 2.0, 3.0, 1.0, times))
+
     def test_step_and_horizon_validation(self):
         with pytest.raises(SolverConfigError):
             FdeProblem(alpha=0.9, field=linear_field, u0=np.array([1.0]),

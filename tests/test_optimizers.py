@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -362,6 +363,16 @@ class TestStabilityEnvelope:
         res = run_fctm(QUAD, np.array([1.0]), fctm_cfg(0.7, h=1e-2, t_end=1.0))
         with pytest.raises(OrderRangeError):
             stability_envelope_check(res.trace, np.array([3.0]), eta=2.0, alpha=1.5)
+
+    @pytest.mark.parametrize("eta", [math.inf, 0.0, -2.0, math.nan])
+    def test_eta_must_be_finite_and_positive(self, eta):
+        # eta = inf once made E_alpha(nan) at t = 0 and leaked a RuntimeWarning
+        res = run_fctm(QUAD, np.array([1.0]), fctm_cfg(0.7, h=1e-2, t_end=1.0))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ConfigError, match="eta"):
+                stability_envelope_check(res.trace, np.array([3.0]), eta=eta, alpha=0.7)
+        assert issubclass(ConfigError, ValueError)
 
 
 class TestOscillationCensus:

@@ -1,12 +1,14 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
 
 import mpmath
 import numpy as np
 import pytest
 
 from fracopt import _selfcheck as sc
+from fracopt import specfun
 from fracopt.errors import GammaPoleError, MittagLefflerError, OrderRangeError, SolverConfigError
 from fracopt.fdesolve import FdeProblem, linear_relaxation_solution
 from fracopt.specfun import gamma, mittag_leffler
@@ -83,19 +85,49 @@ class TestMittagLeffler:
                 ref = mpmath.invertlaplace(lambda s: s ** (a - beta) / (s**a - z), 1, method="talbot")
                 assert abs(value - float(ref)) <= 1e-10, (z, value, ref)
 
-    @pytest.mark.parametrize("alpha", [0.3, 0.9, 1.0, 1.5, 2.0])
-    def test_array_call_equals_scalar_calls(self, alpha, rng):
+    # at alpha <= 1 the one shared contour has strength p = 2 (1 - alpha) > 0
+    # for beta = 2 and p = 0 for beta = 1; a beta = 2 case is named by its order
+    @pytest.mark.parametrize("alpha, beta", [
+        pytest.param(alpha, beta, id=f"{alpha}" if beta == 2.0 else f"{alpha}-beta1")
+        for beta in (2.0, 1.0) for alpha in (0.3, 0.9, 1.0, 1.5, 2.0)])
+    def test_array_call_equals_scalar_calls(self, alpha, beta, rng):
         # every path in one array, longer than one evaluation block
         z = np.concatenate((-(10.0 ** rng.uniform(-4.0, 2.5, 700)), [0.0, -0.0, -0.5]))
         rng.shuffle(z)
-        values = mittag_leffler(alpha, 2.0, z)
-        scalars = [mittag_leffler(alpha, 2.0, x) for x in z.tolist()]
+        values = mittag_leffler(alpha, beta, z)
+        scalars = [mittag_leffler(alpha, beta, x) for x in z.tolist()]
         assert all(type(v) is float for v in scalars)
         assert np.array_equal(values.view(np.int64), np.array(scalars).view(np.int64))
-        grid = mittag_leffler(alpha, 2.0, z[:12].reshape(3, 4))
+        grid = mittag_leffler(alpha, beta, z[:12].reshape(3, 4))
         assert grid.shape == (3, 4)
         assert np.array_equal(grid.ravel(), values[:12])
-        assert type(mittag_leffler(alpha, 2.0, np.float64(-3.0))) is float
+        assert type(mittag_leffler(alpha, beta, np.float64(-3.0))) is float
+
+    @pytest.mark.parametrize("alpha", [0.9, 1.5])
+    def test_series_only_call_builds_no_node_table(self, alpha, rng, monkeypatch):
+        # no point below -1/2: every value comes from the series, none from a contour
+        z = np.concatenate((-rng.uniform(0.0, 0.5, 300), [0.0, -0.0, -0.5]))
+        scalars = [mittag_leffler(alpha, 1.0, x) for x in z.tolist()]
+
+        def no_table(*args):
+            raise AssertionError("contour node table built for |z| <= 1/2")
+
+        monkeypatch.setattr(specfun, "_nodes", no_table)
+        values = mittag_leffler(alpha, 1.0, z)
+        assert np.array_equal(values.view(np.int64), np.array(scalars).view(np.int64))
+
+    @pytest.mark.parametrize("alpha", [0.9, 1.2])
+    def test_work_memory_stays_small(self, alpha):
+        # blocks of about 6 400 contour nodes: the traced peak of a 10 001-point
+        # call is its output array plus one block's work
+        z = -2.0 * np.linspace(0.0, 10.0, 10001) ** alpha
+        tracemalloc.start()
+        try:
+            mittag_leffler(alpha, 1.0, z)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2**20, peak
 
     @pytest.mark.parametrize("z", [math.nan, math.inf, -math.inf])
     def test_non_finite_argument_rejected(self, z):
