@@ -178,13 +178,16 @@ def solve_pece(problem: FdeProblem) -> Trajectory:
     f_hist = np.empty((n_steps + 1, d))
     states[0] = problem.u0
     f_hist[0] = problem.field(problem.u0)
+    f0 = f_hist[0]
     nfev = 1
+    seed = problem.u0  # the Taylor seed at every t below order 1; u0 is read-only
 
     # overflow on a diverging problem is expected and detected explicitly
     with np.errstate(over="ignore", invalid="ignore"):
         for n in range(n_steps):
             t_next = times[n + 1]
-            seed = problem.taylor_seed(t_next)
+            if a > 1:
+                seed = problem.taylor_seed(t_next)
 
             # predictor: seed + h^a/G(a+1) * sum_j b[n-j] F_j
             pred_sum = b_rev[n_steps - n - 1 :].dot(f_hist[: n + 1])
@@ -194,12 +197,12 @@ def solve_pece(problem: FdeProblem) -> Trajectory:
 
             # corrector: history term with the j = 0 weight handled separately
             a0 = float(n) ** (a + 1.0) - (n - a) * (n + 1.0) ** a
-            corr_sum = a0 * f_hist[0]
+            corr_sum = a0 * f0
             if n >= 1:
                 corr_sum = corr_sum + c_rev[n_steps - 1 - n :].dot(f_hist[1 : n + 1])
             u_next = seed + corr_scale * (corr_sum + f_pred)
 
-            if not np.all(np.isfinite(u_next)):
+            if not np.isfinite(u_next).all():
                 raise SolverDivergenceError(t_next)
             states[n + 1] = u_next
             f_hist[n + 1] = problem.field(u_next)

@@ -304,7 +304,7 @@ def _descend(
                 break
             u, settled = step(k, u)
             fk = objective.f(u)
-            if not (np.all(np.isfinite(u)) and np.all(np.isfinite(fk))):
+            if not (np.isfinite(u).all() and np.isfinite(fk).all()):
                 raise IterationDivergenceError(k + 1)
             if k + 1 == costs.shape[1]:
                 iterates, costs = grown(iterates), grown(costs)

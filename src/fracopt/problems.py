@@ -8,6 +8,8 @@ point-charge energy on the unit sphere parameterized by spherical angles.
 from __future__ import annotations
 
 import math
+import operator
+import random
 from dataclasses import dataclass
 from typing import Callable
 
@@ -268,27 +270,32 @@ def make_thomson(n_charges: int) -> tuple[Objective, ThomsonSpec]:
 def random_sphere_configuration(n_charges: int, seed: int, max_retries: int = 100) -> np.ndarray:
     """Seeded uniform sample of N charges, as the 2N-angle parameter vector.
 
-    Each point is a normalized triple of independent standard normals.
-    Draws are rejected until no two points are closer than 1e-3 in angular
-    distance; a pathological seed exhausting the budget raises
+    By Archimedes' hat-box theorem z = cos(phi) is uniform on [-1, 1], so
+    theta = pi (2r - 1) and phi = acos(2r - 1), with each r uniform on
+    [0, 1), place a point uniformly on the sphere.  The r are
+    ``random.Random(seed).random()`` in the order of the vector; Python
+    keeps that sequence for a given seed across versions.  The seed is a
+    non-negative integer (numpy integers included).  Draws are rejected
+    until no two points are closer than 1e-3 in angular distance; a
+    pathological seed exhausting the budget raises
     :class:`SampleRetryError`.
     """
     if n_charges < 2:
         raise ValueError("need at least 2 charges")
-    rng = np.random.default_rng(seed)
+    seed = operator.index(seed)
+    if seed < 0:  # Random would take its absolute value
+        raise ValueError(f"seed must be non-negative, got {seed}")
+    rng = random.Random(seed)
+    spec = ThomsonSpec(n_charges)
     for _ in range(max_retries):
-        xyz = rng.standard_normal((n_charges, 3))
-        norms = np.linalg.norm(xyz, axis=1)
-        if np.any(norms < 1e-12):
-            continue
-        xyz /= norms[:, None]
+        theta = [math.pi * (2.0 * rng.random() - 1.0) for _ in range(n_charges)]
+        phi = [math.acos(2.0 * rng.random() - 1.0) for _ in range(n_charges)]
+        u = np.array(theta + phi)
+        xyz = spec.cartesian(u)
         dots = np.clip(xyz @ xyz.T, -1.0, 1.0)
         np.fill_diagonal(dots, -1.0)
-        if math.acos(float(np.max(dots))) < 1e-3:
-            continue
-        theta = np.arctan2(xyz[:, 1], xyz[:, 0])
-        phi = np.arccos(np.clip(xyz[:, 2], -1.0, 1.0))
-        return np.concatenate((theta, phi))
+        if math.acos(float(np.max(dots))) >= 1e-3:
+            return u
     raise SampleRetryError(
         f"could not place {n_charges} separated charges in {max_retries} draws"
     )

@@ -407,6 +407,16 @@ assert 'concurrent.futures' in sys.modules
 """
 
 
+NUMPY_RANDOM_PROBE = """
+import sys
+from fracopt import cli
+out, spec = sys.argv[1:]
+assert cli.main(['--out', out, 'run', spec]) == 0
+loaded = {'numpy.random', '_hashlib'} & set(sys.modules)
+assert not loaded, f'a seeded Thomson run loaded {sorted(loaded)}'
+"""
+
+
 class TestCli:
     def test_run_spec_file(self, tmp_path, capsys):
         path = tmp_path / "demo.ini"
@@ -528,6 +538,16 @@ class TestCli:
         path = tmp_path / "demo.ini"
         path.write_text(QUAD_SPEC_TEXT)
         assert fresh_python(THREAD_POOL_PROBE, str(tmp_path / "out"), str(path)) == 0
+
+    def test_thomson_run_leaves_out_numpy_random(self, tmp_path, fresh_python):
+        # the seeded starts come from the standard library's generator
+        path = tmp_path / "th.ini"
+        path.write_text("[experiment]\nname = th\nproblem = thomson\ncharges = 4\n"
+                        "thresholds =\nrestarts = 2\n\n"
+                        "[method.gdm]\nmethod = gdm\nomega = 0.005\nk_max = 50\n\n"
+                        "[method.fctm]\nmethod = fctm\nalpha = 0.7\ngain = 1.0\n"
+                        "h = 0.005\nt_end = 0.5\n")
+        assert fresh_python(NUMPY_RANDOM_PROBE, str(tmp_path / "out"), str(path)) == 0
 
     def test_check_passes(self, capsys):
         assert main(["check"]) == EXIT_OK

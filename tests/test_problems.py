@@ -227,6 +227,30 @@ class TestSphereSampler:
             zs.extend(np.cos(u[4:]))
         assert -0.02 <= float(np.mean(zs)) <= 0.02
 
+    def test_first_start_of_seed_one_is_pinned(self):
+        # the sampler's stream: random.Random(1).random() in vector order
+        expected = [-2.2973572091724623, 2.1829905511425176, 1.6573448103607549,
+                    -1.538946698747247, 1.579926279449929, 1.6719867989958908,
+                    1.2627621325062262, 0.9551985072702256]
+        assert np.allclose(random_sphere_configuration(4, seed=1), expected, rtol=0, atol=1e-12)
+
+    def test_angle_ranges(self):
+        for seed in range(200):
+            u = random_sphere_configuration(5, seed=seed)
+            theta, phi = u[:5], u[5:]
+            assert np.all((-math.pi <= theta) & (theta < math.pi))
+            assert np.all((0.0 <= phi) & (phi <= math.pi))
+
+    def test_numpy_integer_seed(self):
+        assert np.array_equal(
+            random_sphere_configuration(4, seed=np.int64(5)),
+            random_sphere_configuration(4, seed=5),
+        )
+
+    def test_negative_seed_raises(self):
+        with pytest.raises(ValueError):
+            random_sphere_configuration(4, seed=-1)
+
     def test_retry_budget(self):
         with pytest.raises(SampleRetryError):
             random_sphere_configuration(4, seed=0, max_retries=0)
