@@ -1,8 +1,9 @@
 """The one CSV writer behind every trace, summary and census file.
 
-Cells: ``None`` is empty, a string is written as is, a number as the
-``repr`` of the Python value (full-precision floats).  Array rows must arrive
-through ``ndarray.tolist`` so NumPy scalar reprs never reach the file.
+Cells: ``None`` is empty, a number is the ``repr`` of the Python value
+(full-precision floats), and a string is written as is, or quoted by RFC 4180
+if it holds ``,``, ``"``, CR or LF.  Array rows must arrive through
+``ndarray.tolist`` so NumPy scalar reprs never reach the file.
 """
 
 from __future__ import annotations
@@ -12,6 +13,8 @@ def _cell(value) -> str:
     if value is None:
         return ""
     if isinstance(value, str):
+        if any(c in value for c in ',"\r\n'):
+            return '"' + value.replace('"', '""') + '"'
         return value
     return repr(value)
 

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import configparser
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Callable
 
@@ -152,9 +152,6 @@ class SummaryRecord:
     field_evaluations: int
     status: str
     wall_seconds: float
-    # the cell's result without its trace and iterations (None if it
-    # diverged); run_experiment's on_result hook sees the full result
-    result: RunResult | None = field(default=None, compare=False, repr=False)
 
 
 def _sign_normalized_svd(matrix: np.ndarray):
@@ -206,7 +203,8 @@ def _build_problem(pspec: ProblemSpec, restarts, base_seed: int):
 def _run_method(spec: ExperimentSpec, mspec: MethodSpec) -> list[RunResult | FracoptError]:
     """All restarts of one method as one stacked run.  If the stack fails,
     its restarts rerun one by one, so each failure is recorded in its own
-    cell and the other restarts still complete."""
+    cell and the other restarts still complete.  An error is kept without
+    its traceback, whose frames would hold the solver's arrays."""
     stop = StoppingRule(epsilon=mspec.epsilon, k_max=mspec.k_max, thresholds=spec.thresholds)
 
     def solve(restarts):
@@ -217,13 +215,13 @@ def _run_method(spec: ExperimentSpec, mspec: MethodSpec) -> list[RunResult | Fra
         return solve(range(spec.restarts))
     except FracoptError as exc:
         if spec.restarts == 1:
-            return [exc]
+            return [exc.with_traceback(None)]
     outcomes: list[RunResult | FracoptError] = []
     for restart in range(spec.restarts):
         try:
             outcomes.extend(solve([restart]))
         except FracoptError as exc:
-            outcomes.append(exc)
+            outcomes.append(exc.with_traceback(None))
     return outcomes
 
 
@@ -243,25 +241,30 @@ def _write_summary(path: Path, records: list[SummaryRecord],
 def _write_method(out: Path, spec: ExperimentSpec, mspec: MethodSpec,
                   outcomes: list[RunResult | FracoptError],
                   on_result: Callable[[str, int, RunResult], None] | None,
-                  ) -> list[RunResult | FracoptError]:
+                  ) -> list[SummaryRecord]:
     """Write one method's trace CSVs, pass each completed cell to
-    ``on_result``, and return the outcomes with traces and tracebacks
-    dropped, so the method's trajectories are freed when this returns."""
-    kept: list[RunResult | FracoptError] = []
+    ``on_result``, and return one summary record per cell, without its
+    ``ratio_vs_alpha1``; no record holds a trace."""
+    cfg = mspec.cfg
+    records = []
     for restart, outcome in enumerate(outcomes):
-        if isinstance(outcome, RunResult):
-            trace_path = out / f"{spec.name}__{mspec.label}__r{restart}.csv"
-            if outcome.trace is not None:
-                outcome.trace.to_csv(trace_path)
-            else:
-                outcome.iterations.to_csv(trace_path)
-            if on_result is not None:
-                on_result(mspec.label, restart, outcome)
-            outcome = replace(outcome, trace=None, iterations=None)
-        else:
-            outcome.__traceback__ = None  # its frames hold the solver's arrays
-        kept.append(outcome)
-    return kept
+        cell = dict(problem=spec.problem.kind, label=mspec.label, method=cfg.method.value,
+                    alpha=cfg.alpha, gain=cfg.omega if cfg.omega is not None else cfg.gain,
+                    restart=restart, ratio_vs_alpha1=None)
+        if not isinstance(outcome, RunResult):
+            records.append(SummaryRecord(
+                **cell, passages={t: None for t in spec.thresholds}, final_metric=math.nan,
+                field_evaluations=0, status=f"diverged: {outcome}", wall_seconds=0.0))
+            continue
+        (outcome.trace or outcome.iterations).to_csv(
+            out / f"{spec.name}__{mspec.label}__r{restart}.csv")
+        if on_result is not None:
+            on_result(mspec.label, restart, outcome)
+        records.append(SummaryRecord(
+            **cell, passages={t: outcome.first_passage.get(t) for t in spec.thresholds},
+            final_metric=outcome.final_metric, field_evaluations=outcome.cost.field_evaluations,
+            status="completed", wall_seconds=outcome.cost.wall_seconds))
+    return records
 
 
 def run_experiment(
@@ -274,19 +277,20 @@ def run_experiment(
     :func:`run_restarts`); ``workers`` > 1 runs methods on threads, and
     ``workers`` < 1 is a configuration error, raised before ``out_dir`` is
     made.  A method's trace CSVs are written as soon as its job ends, in
-    the order of ``spec.methods``; then ``on_result(label, restart, result)`` sees
-    each completed cell with its trace, and the trace is released.  The
-    records keep each result without its trace and iterations.  A
-    diverging cell is recorded with its error and does not abort the
-    batch; the returned exit code is EXIT_DIVERGED if any cell failed,
-    EXIT_OK otherwise.
+    the order of ``spec.methods``; then ``on_result(label, restart, result)``
+    sees each completed cell with its trace, and the cell becomes a
+    :class:`SummaryRecord`, which holds no result.  ``ratio_vs_alpha1``
+    divides the final metric of the first order-1 method by each cell's,
+    per restart.  A diverging cell is recorded with its error and does not
+    abort the batch; the returned exit code is EXIT_DIVERGED if any cell
+    failed, EXIT_OK otherwise.
     """
     if workers < 1:
         raise ConfigError(f"workers must be >= 1, got {workers}")
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
 
-    def run_and_write(lazy_map) -> list[list[RunResult | FracoptError]]:
+    def run_and_write(lazy_map) -> list[list[SummaryRecord]]:
         runs = lazy_map(lambda m: _run_method(spec, m), spec.methods)
         # next(runs) is only an argument, so no name keeps a method's
         # trajectories alive while the next method runs
@@ -301,43 +305,17 @@ def run_experiment(
         per_method = run_and_write(map)
 
     # alpha = 1 baseline metric per restart, for the ratio column
-    first_alpha1 = next((i for i, m in enumerate(spec.methods) if m.cfg.alpha == 1.0), None)
-    baseline = {} if first_alpha1 is None else {
-        restart: outcome.final_metric
-        for restart, outcome in enumerate(per_method[first_alpha1])
-        if isinstance(outcome, RunResult)}
-
-    records: list[SummaryRecord] = []
-    exit_code = EXIT_OK
-    cells = [(mspec, restart, outcome) for mspec, outcomes in zip(spec.methods, per_method)
-             for restart, outcome in enumerate(outcomes)]
-    for mspec, restart, result in cells:
-        cfg = mspec.cfg
-        cell = dict(problem=spec.problem.kind, label=mspec.label, method=cfg.method.value,
-                    alpha=cfg.alpha, gain=cfg.omega if cfg.omega is not None else cfg.gain,
-                    restart=restart)
-        if not isinstance(result, RunResult):
-            exit_code = EXIT_DIVERGED
-            records.append(SummaryRecord(
-                **cell, passages={t: None for t in spec.thresholds},
-                final_metric=math.nan, ratio_vs_alpha1=None,
-                field_evaluations=0, status=f"diverged: {result}", wall_seconds=0.0,
-            ))
-            continue
-        base = baseline.get(restart)
-        ratio = (base / result.final_metric) if base is not None and result.final_metric > 0 else None
-        records.append(SummaryRecord(
-            **cell, passages={t: result.first_passage.get(t) for t in spec.thresholds},
-            final_metric=result.final_metric, ratio_vs_alpha1=ratio,
-            field_evaluations=result.cost.field_evaluations,
-            status="completed", wall_seconds=result.cost.wall_seconds, result=result,
-        ))
-
+    alpha1 = next((recs for m, recs in zip(spec.methods, per_method) if m.cfg.alpha == 1.0), [])
+    baseline = {r.restart: r.final_metric for r in alpha1 if r.status == "completed"}
+    records = [replace(r, ratio_vs_alpha1=baseline[r.restart] / r.final_metric)
+               if r.restart in baseline and r.final_metric > 0 else r
+               for recs in per_method for r in recs]
     records.sort(key=lambda r: (r.alpha, r.label, r.restart))
     _write_summary(out / f"{spec.name}__summary.csv", records, spec.thresholds)
     write_csv(out / f"{spec.name}__timing.csv", ["label", "restart", "wall_seconds"],
               ((r.label, r.restart, f"{r.wall_seconds:.6f}") for r in records))
-    return records, exit_code
+    diverged = any(r.status != "completed" for r in records)
+    return records, EXIT_DIVERGED if diverged else EXIT_OK
 
 
 # ---------------------------------------------------------------------------
@@ -547,9 +525,9 @@ TABLE2_RESTARTS = 10
 
 
 def _table2_best(n: int, methods: tuple[MethodSpec, ...], records: list[SummaryRecord],
-                 out: Path) -> list[tuple]:
+                 geometry: dict[tuple[str, int], np.ndarray], out: Path) -> list[tuple]:
     """Best completed restart of each method at N charges, plus the final
-    geometry of the best FCTM restart."""
+    geometry of the best FCTM restart, from ``geometry[label, restart]``."""
     rows = []
     for mspec in methods:
         group = [r for r in records if r.label == mspec.label and r.status == "completed"]
@@ -562,7 +540,8 @@ def _table2_best(n: int, methods: tuple[MethodSpec, ...], records: list[SummaryR
                      sum(r.field_evaluations for r in group)))
         if mspec.cfg.method is Method.FCTM:
             # final geometry of the best fractional run, for external viewing
-            ThomsonSpec(n).to_csv(best.result.converged_to, out / f"table2__geometry_n{n}.csv")
+            ThomsonSpec(n).to_csv(geometry[mspec.label, best.restart],
+                                  out / f"table2__geometry_n{n}.csv")
     return rows
 
 
@@ -580,9 +559,14 @@ def _reproduce_table2(out: Path, seed: int, workers: int):
             name=f"table2_n{n}", problem=ProblemSpec(kind="thomson", charges=n),
             methods=methods, thresholds=(), restarts=TABLE2_RESTARTS, base_seed=seed,
         )
-        records, c = run_experiment(spec, out, workers)
+        geometry = {}  # the final state of each completed cell
+
+        def keep_geometry(label: str, restart: int, result: RunResult) -> None:
+            geometry[label, restart] = result.converged_to
+
+        records, c = run_experiment(spec, out, workers, on_result=keep_geometry)
         code = max(code, c)
-        best_rows.extend(_table2_best(n, methods, records, out))
+        best_rows.extend(_table2_best(n, methods, records, geometry, out))
         all_records.extend(records)
     note = (f"best of {TABLE2_RESTARTS} seeded restarts; gdm: omega={TABLE2_GDM_OMEGA:g} "
             f"k_max={TABLE2_GDM_KMAX}; fctm: alpha=0.7 gain=1 h={TABLE2_H:g} "

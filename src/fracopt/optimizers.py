@@ -15,8 +15,8 @@ Four update rules:
 
 First-passage statistics (earliest time/iteration with the progress
 metric below a threshold) are recorded for every run.  ``run_restarts``
-runs one method from a stack of start points; GDM and FCTM advance the
-whole stack at once.
+runs one method's runner from a stack of start points; GDM and FCTM
+advance the whole stack at once.
 """
 
 from __future__ import annotations
@@ -326,59 +326,46 @@ def _gdm(objective: Objective, starts: np.ndarray, cfg: OptimizerConfig,
                     lambda k, u: (u - cfg.omega * objective.gradient(u), False))
 
 
-def run_gdm(
-    objective: Objective,
-    u0: np.ndarray,
-    cfg: OptimizerConfig,
-    stop: StoppingRule = StoppingRule(),
-) -> RunResult:
-    """Discrete steepest descent with fixed step size."""
-    if cfg.method is not Method.GDM:
-        raise ConfigError("run_gdm requires a gdm configuration")
-    return _gdm(objective, np.atleast_1d(np.asarray(u0, dtype=float))[None, :], cfg, stop)[0]
+def _cgm(objective: Objective, starts: np.ndarray, cfg: OptimizerConfig,
+         stop: StoppingRule) -> list[RunResult]:
+    """CGM from each row of ``starts`` in turn, by the adaptive
+    integer-order reference solver, whose steps would couple a stack."""
+    results = []
+    for u0 in starts:
+        t0 = time.perf_counter()
+        # without h the adaptive solver keeps its own steps and never reads h,
+        # so it gets a step that divides any horizon
+        problem = FdeProblem(alpha=cfg.alpha, field=lambda u: -cfg.gain * objective.gradient(u),
+                             u0=u0, t_end=cfg.t_end, h=cfg.h or cfg.t_end / 2)
+        t_eval = uniform_grid(cfg.t_end, problem.h) if cfg.h else None
+        traj = solve_reference_ode(problem, t_eval=t_eval)
+        results.append(_wrap_result(objective, cfg, stop, traj, traj.stats.field_evaluations,
+                                    time.perf_counter() - t0))
+    return results
 
 
-def _fgdm_operator(objective: Objective, cfg: OptimizerConfig) -> Callable[[float], float]:
-    """Fractional derivative of the polynomial objective at a point, by the
-    exact power rule with the configured window's lower limit."""
-    poly, alpha, window = objective.polynomial, cfg.alpha, cfg.window
-    rule = caputo_poly_derivative if cfg.fgdm_operator == "caputo" else rl_poly_derivative
-    return lambda u: rule(poly, alpha, u, window.effective_lower_limit(u))
-
-
-def run_fgdm(
-    objective: Objective,
-    u0: float,
-    cfg: OptimizerConfig,
-    stop: StoppingRule = StoppingRule(),
-) -> RunResult:
-    """Fractional-gradient descent on a scalar polynomial objective (the
-    quadratic).
-
-    The update direction is the configured fractional derivative of f, so
-    the iteration settles on the operator's zero, which for alpha < 1 is
-    not the extremum of f.
-    """
-    if cfg.method is not Method.FGDM:
-        raise ConfigError("run_fgdm requires an fgdm configuration")
-    if objective.polynomial is None:
+def _fgdm(objective: Objective, starts: np.ndarray, cfg: OptimizerConfig,
+          stop: StoppingRule) -> list[RunResult]:
+    """FGDM from the first coordinate of each row of ``starts`` in turn, by
+    the exact power rule of the polynomial objective at the window's limit."""
+    poly, alpha, omega, window = objective.polynomial, cfg.alpha, cfg.omega, cfg.window
+    if poly is None:
         raise ConfigError("fgdm takes a scalar polynomial objective (the quadratic) only")
-    derivative = _fgdm_operator(objective, cfg)
+    rule = caputo_poly_derivative if cfg.fgdm_operator == "caputo" else rl_poly_derivative
 
     def step(k: int, u: np.ndarray) -> tuple[np.ndarray, bool]:
         x = float(u[0])
         try:
-            d = derivative(x)
+            d = rule(poly, alpha, x, window.effective_lower_limit(x))
         except OperatorDomainError as exc:
             raise OperatorDomainError(
                 f"iteration {k}: iterate u = {x:g} left the operator domain ({exc})"
             ) from exc
-        x_next = x - cfg.omega * d
+        x_next = x - omega * d
         # settled at the operator zero to machine precision
-        return np.array([x_next]), abs(cfg.omega * d) < 1e-14 * max(1.0, abs(x_next))
+        return np.array([x_next]), abs(omega * d) < 1e-14 * max(1.0, abs(x_next))
 
-    u = np.atleast_1d(np.asarray(u0, dtype=float))[:1]
-    return _descend(objective, u[None, :], cfg, stop, step)[0]
+    return [_descend(objective, u0[None, :1], cfg, stop, step)[0] for u0 in starts]
 
 
 def _fctm(objective: Objective, starts: np.ndarray, cfg: OptimizerConfig,
@@ -404,44 +391,14 @@ def _fctm(objective: Objective, starts: np.ndarray, cfg: OptimizerConfig,
     traj = solve_pece(problem)
     wall = (time.perf_counter() - t0) / n_rows  # an equal share per row
     nfev = traj.stats.field_evaluations  # per row: each call advances every row
-    if n_rows == 1:
-        return [_wrap_result(objective, cfg, stop, traj, nfev, wall)]
+    # a row's columns are a view; one row's are the whole contiguous array
     return [_wrap_result(objective, cfg, stop,
                          Trajectory(times=traj.times, states=traj.states[:, i * d:(i + 1) * d],
                                     stats=traj.stats), nfev, wall)
             for i in range(n_rows)]
 
 
-def run_fctm(
-    objective: Objective,
-    u0: np.ndarray,
-    cfg: OptimizerConfig,
-    stop: StoppingRule = StoppingRule(),
-) -> RunResult:
-    """Integrate the descent flow D^alpha_t u = -gain grad f(u).
-
-    FCTM uses the fractional predictor-corrector; a CGM configuration
-    routes through the adaptive integer-order reference solver.  Any
-    equilibrium of this flow is a stationary point of f.
-    """
-    if cfg.method not in (Method.FCTM, Method.CGM):
-        raise ConfigError("run_fctm requires an fctm or cgm configuration")
-    if cfg.method is Method.FCTM:
-        return _fctm(objective, np.atleast_1d(np.asarray(u0, dtype=float))[None, :], cfg, stop)[0]
-    t0 = time.perf_counter()
-    gain = cfg.gain
-
-    def fde_field(u: np.ndarray) -> np.ndarray:
-        return -gain * objective.gradient(u)
-
-    # without h the adaptive solver keeps its own steps and never reads h,
-    # so it gets a step that divides any horizon
-    problem = FdeProblem(alpha=cfg.alpha, field=fde_field, u0=u0, t_end=cfg.t_end,
-                         h=cfg.h or cfg.t_end / 2)
-    t_eval = uniform_grid(cfg.t_end, problem.h) if cfg.h else None
-    traj = solve_reference_ode(problem, t_eval=t_eval)
-    wall = time.perf_counter() - t0
-    return _wrap_result(objective, cfg, stop, traj, traj.stats.field_evaluations, wall)
+_RUNNERS = {Method.GDM: _gdm, Method.CGM: _cgm, Method.FGDM: _fgdm, Method.FCTM: _fctm}
 
 
 def run_restarts(
@@ -453,21 +410,62 @@ def run_restarts(
     """Run ``cfg``'s method from each row of ``starts`` (R, d); one result
     per row, each equal to the one-start run of that row.
 
-    GDM and FCTM advance all rows as one stack, so a failure in any row
-    raises for the whole stack.  FCTM's history sum is a BLAS product over
-    the R*d columns; with OpenBLAS on x86-64 it matched the one-start runs
-    bit for bit for d = 8, 12 and 24, and to about 1e-15 relative for
-    d = 10.  CGM (whose adaptive steps would couple the rows) and FGDM
-    (scalar only) run the rows one at a time.
+    Each method has its runner.  GDM and FCTM advance all rows as one
+    stack, so a failure in any row raises for the whole stack.  FCTM's
+    history sum is a BLAS product over the R*d columns; with OpenBLAS on
+    x86-64 it matched the one-start runs bit for bit for d = 8, 12 and 24,
+    and to about 1e-15 relative for d = 10.  CGM (adaptive steps would
+    couple the rows) and FGDM (scalar only) run the rows one at a time.
     """
-    starts = np.atleast_2d(np.asarray(starts, dtype=float))
-    if cfg.method is Method.GDM:
-        return _gdm(objective, starts, cfg, stop)
-    if cfg.method is Method.FCTM:
-        return _fctm(objective, starts, cfg, stop)
-    if cfg.method is Method.CGM:
-        return [run_fctm(objective, u0, cfg, stop) for u0 in starts]
-    return [run_fgdm(objective, float(u0[0]), cfg, stop) for u0 in starts]
+    return _RUNNERS[cfg.method](objective, np.atleast_2d(np.asarray(starts, dtype=float)),
+                                cfg, stop)
+
+
+def run_gdm(
+    objective: Objective,
+    u0: np.ndarray,
+    cfg: OptimizerConfig,
+    stop: StoppingRule = StoppingRule(),
+) -> RunResult:
+    """Discrete steepest descent with fixed step size."""
+    if cfg.method is not Method.GDM:
+        raise ConfigError("run_gdm requires a gdm configuration")
+    return run_restarts(objective, u0, cfg, stop)[0]
+
+
+def run_fgdm(
+    objective: Objective,
+    u0: float,
+    cfg: OptimizerConfig,
+    stop: StoppingRule = StoppingRule(),
+) -> RunResult:
+    """Fractional-gradient descent on a scalar polynomial objective (the
+    quadratic).
+
+    The update direction is the configured fractional derivative of f, so
+    the iteration settles on the operator's zero, which for alpha < 1 is
+    not the extremum of f.
+    """
+    if cfg.method is not Method.FGDM:
+        raise ConfigError("run_fgdm requires an fgdm configuration")
+    return run_restarts(objective, u0, cfg, stop)[0]
+
+
+def run_fctm(
+    objective: Objective,
+    u0: np.ndarray,
+    cfg: OptimizerConfig,
+    stop: StoppingRule = StoppingRule(),
+) -> RunResult:
+    """Integrate the descent flow D^alpha_t u = -gain grad f(u).
+
+    FCTM uses the fractional predictor-corrector; a CGM configuration runs
+    CGM's runner, the adaptive integer-order reference solver.  Any
+    equilibrium of this flow is a stationary point of f.
+    """
+    if cfg.method not in (Method.FCTM, Method.CGM):
+        raise ConfigError("run_fctm requires an fctm or cgm configuration")
+    return run_restarts(objective, u0, cfg, stop)[0]
 
 
 @dataclass(frozen=True)

@@ -107,6 +107,12 @@ def output_bytes(out: Path) -> dict[str, bytes]:
             if not p.name.endswith("__timing.csv")}
 
 
+def csv_rows(path: Path) -> list[list[str]]:
+    """Every row of a CSV file, as ``csv.reader`` parses it."""
+    with open(path, newline="") as fh:
+        return list(csv.reader(fh))
+
+
 def fail_when(monkeypatch, fails, error) -> None:
     """Patch the harness's run_restarts to raise ``error`` for every call
     where ``fails(starts, cfg)`` holds."""
@@ -293,6 +299,37 @@ class TestRunExperiment:
         stacked = output_bytes(tmp_path / "stacked")
         assert stacked == output_bytes(tmp_path / "single")
         assert "th4__gdm__r1.csv" not in stacked and "th4__gdm__r2.csv" in stacked
+        # the status holds a comma, so the summary quotes it
+        header, *rows = csv_rows(tmp_path / "stacked" / "th4__summary.csv")
+        assert [len(r) for r in rows] == [len(header)] * 6
+        assert {r[-1] for r in rows} == {
+            "completed", "diverged: coincident charges: pair (0, 1) has zero distance"}
+
+    def test_caught_errors_hold_no_traceback(self, monkeypatch):
+        # a traceback's frames would keep the solver's arrays alive
+        fail_when(monkeypatch, lambda starts, cfg: cfg.method is Method.FCTM,
+                  SolverDivergenceError(0.0))
+        spec = small_spec(restarts=2)
+        for mspec in spec.methods:
+            outcomes = harness._run_method(spec, mspec)
+            assert len(outcomes) == 2
+            errors = [o for o in outcomes if isinstance(o, SolverDivergenceError)]
+            assert len(errors) == (2 if mspec.cfg.method is Method.FCTM else 0)
+            assert all(e.__traceback__ is None for e in errors)
+        single = harness._run_method(small_spec(), spec.methods[1])
+        assert single[0].__traceback__ is None
+
+    def test_text_cells_quoted(self, tmp_path):
+        path = tmp_path / "comma.ini"
+        path.write_text("[experiment]\nname = comma\nproblem = quadratic\n\n"
+                        "[method.gd,m]\nmethod = gdm\nomega = 0.1\nk_max = 20\n")
+        assert main(["--out", str(tmp_path), "run", str(path)]) == EXIT_OK
+        for name, label_col in (("comma__summary.csv", 1), ("comma__timing.csv", 0)):
+            header, *rows = csv_rows(tmp_path / name)
+            assert [len(r) for r in rows] == [len(header)]
+            assert rows[0][label_col] == "gd,m"
+        assert (tmp_path / "comma__summary.csv").read_text().splitlines()[1].startswith(
+            'quadratic,"gd,m",gdm,')
 
 
 def vandermonde_flows(n_methods: int) -> ExperimentSpec:
@@ -336,7 +373,6 @@ class TestStreaming:
         assert code == EXIT_OK
         assert existing == [[], ["st__gdm__r0.csv", "st__gdm__r1.csv"]]
         assert len(records) == 4
-        assert all(r.result.trace is None and r.result.iterations is None for r in records)
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_on_result_sees_full_results_in_method_order(self, tmp_path, workers):
@@ -414,6 +450,20 @@ out, spec = sys.argv[1:]
 assert cli.main(['--out', out, 'run', spec]) == 0
 loaded = {'numpy.random', '_hashlib'} & set(sys.modules)
 assert not loaded, f'a seeded Thomson run loaded {sorted(loaded)}'
+"""
+
+
+# the benchmark's tracer rebinds fracopt's functions by name before a run
+TRACED_RUN_PROBE = """
+import sys
+perfbench, out, spec = sys.argv[1:]
+sys.path.insert(0, perfbench)
+import tracing
+from fracopt import cli
+tracer = tracing.Tracer()
+tracing.install(tracer)
+assert cli.main(['--out', out, 'run', spec]) == 0
+assert 'harness.run_experiment' in tracer.names
 """
 
 
@@ -548,6 +598,15 @@ class TestCli:
                         "[method.fctm]\nmethod = fctm\nalpha = 0.7\ngain = 1.0\n"
                         "h = 0.005\nt_end = 0.5\n")
         assert fresh_python(NUMPY_RANDOM_PROBE, str(tmp_path / "out"), str(path)) == 0
+
+    def test_run_under_benchmark_tracer(self, tmp_path, fresh_python):
+        # install() finds every function it wraps by name, and a GDM and an
+        # FCTM cell still run under the wrappers
+        path = tmp_path / "demo.ini"
+        path.write_text(QUAD_SPEC_TEXT)
+        perfbench = Path(__file__).resolve().parents[1] / "perfbench"
+        assert fresh_python(TRACED_RUN_PROBE, str(perfbench), str(tmp_path / "out"),
+                            str(path)) == 0
 
     def test_check_passes(self, capsys):
         assert main(["check"]) == EXIT_OK

@@ -119,11 +119,24 @@ class TestThomson:
         u = np.concatenate(([0.0, 2 * math.pi / 3, 4 * math.pi / 3], [math.pi / 2] * 3))
         assert obj.f(u) == pytest.approx(math.sqrt(3.0), abs=1e-12)
 
-    def test_reference_minimum_attached(self):
-        # the N = 4 reference is the energy of the regular tetrahedron
-        obj, _ = make_thomson(4)
-        u = np.array([0.0, 0.0, 2 * math.pi / 3, 4 * math.pi / 3] + [0.0] + [math.acos(-1 / 3)] * 3)
-        assert obj.f(u) == pytest.approx(THOMSON_REFERENCE_ENERGIES[4], abs=1e-9)
+    # the vertices of each reference minimum's polyhedron, as (theta, phi)
+    POLYHEDRA = {
+        4: [(0.0, 0.0)] + [(2 * math.pi * k / 3, math.acos(-1 / 3)) for k in range(3)],
+        5: [(0.0, 0.0), (0.0, math.pi)] + [(2 * math.pi * k / 3, math.pi / 2) for k in range(3)],
+        6: [(0.0, 0.0), (0.0, math.pi)] + [(math.pi * k / 2, math.pi / 2) for k in range(4)],
+        12: [(0.0, 0.0), (0.0, math.pi)]
+        + [(2 * math.pi * k / 5, math.atan(2.0)) for k in range(5)]
+        + [(2 * math.pi * k / 5 + math.pi / 5, math.pi - math.atan(2.0)) for k in range(5)],
+    }
+
+    @pytest.mark.parametrize("n", sorted(POLYHEDRA))
+    def test_reference_minimum_attached(self, n):
+        # the references are the energies of the tetrahedron, triangular
+        # bipyramid, octahedron and icosahedron
+        obj, _ = make_thomson(n)
+        theta, phi = zip(*self.POLYHEDRA[n])
+        energy = obj.f(np.array(theta + phi))
+        assert energy == pytest.approx(THOMSON_REFERENCE_ENERGIES[n], rel=1e-14, abs=0.0)
 
     def test_unit_sphere_by_construction(self, rng):
         _, spec = make_thomson(6)
