@@ -7,9 +7,9 @@ pass (trapezoidal product integration), full memory.  Every step uses the
 complete history, so the work is O(steps^2); there is deliberately no
 short-memory truncation here.
 
-An adaptive embedded Runge-Kutta reference solver is provided for the
-integer-order case (alpha = 1).  It is the package's one use of scipy,
-which it imports on first call, so ``import fracopt`` loads numpy only.
+An adaptive Dormand-Prince 5(4) reference solver is provided for the
+integer-order case (alpha = 1); it reproduces scipy's
+``solve_ivp(method="RK45")`` bit for bit, so numpy is the one dependency.
 """
 
 from __future__ import annotations
@@ -212,40 +212,94 @@ def solve_pece(problem: FdeProblem) -> Trajectory:
     return Trajectory(times=times, states=states, stats=stats)
 
 
+# Dormand-Prince 5(4) (J. Comput. Appl. Math. 6 (1980) 19-26): stage weights A,
+# fifth-order weights B, error weights E (over the six stages and the next
+# step's first) and Shampine's quartic dense output P (Math. Comp. 46 (1986)
+# 135-150).  Fields are autonomous, so no stage times; tuples, so import builds no arrays.
+_DP_A = ((1/5,), (3/40, 9/40), (44/45, -56/15, 32/9),
+         (19372/6561, -25360/2187, 64448/6561, -212/729),
+         (9017/3168, -355/33, 46732/5247, 49/176, -5103/18656))
+_DP_B = (35/384, 0, 500/1113, 125/192, -2187/6784, 11/84)
+_DP_E = (-71/57600, 0, 71/16695, -71/1920, 17253/339200, -22/525, 1/40)
+_DP_P = (
+    (1, -8048581381/2820520608, 8663915743/2820520608, -12715105075/11282082432),
+    (0, 0, 0, 0),
+    (0, 131558114200/32700410799, -68118460800/10900136933, 87487479700/32700410799),
+    (0, -1754552775/470086768, 14199869525/1410260304, -10690763975/1880347072),
+    (0, 127303824393/49829197408, -318862633887/49829197408, 701980252875/199316789632),
+    (0, -282668133/205662961, 2019193451/616988883, -1453857185/822651844),
+    (0, 40617522/29380423, -110615467/29380423, 69997945/29380423))
+
+
+def _rms(x: np.ndarray):
+    return np.linalg.norm(x) / x.size**0.5
+
+
 def solve_reference_ode(
     problem: FdeProblem,
     rel_tol: float = 1e-8,
     abs_tol: float = 1e-10,
     t_eval: np.ndarray | None = None,
 ) -> Trajectory:
-    """Adaptive embedded Runge-Kutta baseline for the alpha = 1 case."""
+    """Adaptive Dormand-Prince 5(4) baseline for the alpha = 1 case, with the
+    Hairer-Norsett-Wanner starting step and step control (Solving ODEs I,
+    sec. II.4).  Returns every accepted step, or the dense output at the
+    increasing times ``t_eval`` in [0, t_end].  Raises :class:`StiffnessError`
+    once the step is under ten ulps of t."""
     if problem.alpha != 1.0:
         raise SolverConfigError("the reference solver only handles alpha = 1")
-    from scipy.integrate import solve_ivp  # here, so only runs that reach this load scipy
+    t, t_end, y = 0.0, float(problem.t_end), problem.u0
+    if t_eval is not None:
+        t_eval = np.asarray(t_eval, dtype=float)
+        if not (0 <= t_eval[0] and t_eval[-1] <= t_end and np.all(np.diff(t_eval) > 0)):
+            raise SolverConfigError("t_eval must increase strictly within [0, t_end]")
+    f = np.asarray(problem.field(y), dtype=float)
+    scale = abs_tol + np.abs(y) * rel_tol
+    d0, d1 = _rms(y / scale), _rms(f / scale)
+    h0 = min(1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1, t_end)
+    d2 = _rms((problem.field(y + h0 * f) - f) / scale) / h0
+    h1 = max(1e-6, h0 * 1e-3) if d1 <= 1e-15 and d2 <= 1e-15 else (0.01 / max(d1, d2)) ** 0.2
+    h_abs = min(100 * h0, h1, t_end)
 
-    nfev = 0
-
-    def rhs(_t, y):
-        nonlocal nfev
-        nfev += 1
-        return problem.field(y)
-
-    sol = solve_ivp(
-        rhs,
-        (0.0, problem.t_end),
-        problem.u0,
-        method="RK45",
-        rtol=rel_tol,
-        atol=abs_tol,
-        t_eval=t_eval,
-    )
-    if not sol.success:
-        raise StiffnessError(f"adaptive step control failed: {sol.message}")
-    states = sol.y.T.copy()
-    if sol.t[0] == 0.0:
+    K, attempts, i_eval = np.empty((7, y.size)), 0, 0
+    times, states = ([t], [y]) if t_eval is None else (t_eval, [])
+    while t < t_end:
+        min_step = 10 * np.abs(np.nextafter(t, np.inf) - t)
+        h_abs, rejected = max(h_abs, min_step), False
+        while True:
+            if h_abs < min_step:
+                raise StiffnessError("adaptive step control failed: "
+                                     "Required step size is less than spacing between numbers.")
+            t_new = min(t + h_abs, t_end)
+            h = h_abs = t_new - t
+            K[0], attempts = f, attempts + 1
+            for s in range(1, 6):
+                K[s] = problem.field(y + np.dot(K[:s].T, _DP_A[s - 1]) * h)
+            y_new = y + h * np.dot(K[:-1].T, _DP_B)
+            K[-1] = f_new = problem.field(y_new)
+            scale = abs_tol + np.maximum(np.abs(y), np.abs(y_new)) * rel_tol
+            err = _rms(np.dot(K.T, _DP_E) * h / scale)
+            if err < 1:  # a NaN error norm is rejected, so the step shrinks until it fails
+                factor = 10 if err == 0 else min(10, 0.9 * err**-0.2)
+                h_abs *= min(1, factor) if rejected else factor
+                break
+            h_abs *= max(0.2, 0.9 * err**-0.2)
+            rejected = True
+        t_old, y_old, t, y, f = t, y, t_new, y_new, f_new
+        if t_eval is None:
+            times.append(t)
+            states.append(y)
+        elif (i_new := np.searchsorted(t_eval, t, side="right")) > i_eval:
+            x = (t_eval[i_eval:i_new] - t_old) / (t - t_old)
+            p = np.cumprod(np.tile(x, (4, 1)), axis=0)
+            states.append(((t - t_old) * np.dot(K.T.dot(_DP_P), p) + y_old[:, None]).T)
+            i_eval = i_new
+    states = np.vstack(states)
+    if times[0] == 0.0:
         states[0] = problem.u0
-    stats = TrajectoryStats(steps=len(sol.t) - 1, field_evaluations=nfev)
-    return Trajectory(times=sol.t, states=states, stats=stats)
+    # the field ran at u0, at the starting-step probe and six times per attempt
+    stats = TrajectoryStats(steps=len(times) - 1, field_evaluations=2 + 6 * attempts)
+    return Trajectory(times=np.asarray(times), states=states, stats=stats)
 
 
 def linear_relaxation_solution(

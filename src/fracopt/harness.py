@@ -118,9 +118,12 @@ class ExperimentSpec:
         if not self.methods:
             raise ConfigError("an experiment needs at least one method entry")
         # output files are named <name>__<label>__r<restart>.csv
-        for part in (self.name, *(m.label for m in self.methods)):
+        labels = [m.label for m in self.methods]
+        for part in (self.name, *labels):
             if not part or "/" in part or "\\" in part:
                 raise ConfigError(f"name or label {part!r} is empty or contains '/' or '\\'")
+        if dups := sorted({label for label in labels if labels.count(label) > 1}):
+            raise ConfigError(f"label {dups[0]!r} names more than one method")
         # every cell's StoppingRule gets these thresholds; it owns their rule
         object.__setattr__(self, "thresholds", StoppingRule(thresholds=self.thresholds).thresholds)
         if self.restarts < 1:
@@ -434,7 +437,7 @@ def _quadratic_spec(name: str, methods: tuple[MethodSpec, ...], seed: int,
 
 
 def _reproduce_fig1(out: Path, seed: int, workers: int):
-    # one-dimensional quadratic, all rules side by side at order 0.9
+    # one-dimensional quadratic: GDM, FGDM (RL and Caputo) and FCTM at order 0.9
     window = MemoryWindow(lower_limit=0.0)
     methods = (
         MethodSpec("gdm", OptimizerConfig(method=Method.GDM, omega=0.05), k_max=400),

@@ -198,7 +198,6 @@ class RunCost:
 
 @dataclass(frozen=True)
 class RunResult:
-    method: Method
     alpha: float
     trace: Trajectory | None
     iterations: DiscreteTrace | None
@@ -242,7 +241,6 @@ def _wrap_result(
     converged = stop.epsilon is None or bool(np.any(metrics < stop.epsilon))
     converged_to = states[-1] if converged else states[int(np.argmin(metrics))]
     return RunResult(
-        method=cfg.method,
         alpha=cfg.alpha,
         trace=trace,
         iterations=iterations,

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.integrate import solve_ivp
 
 from fracopt import _selfcheck as sc
 from fracopt.errors import SolverConfigError, SolverDivergenceError, StiffnessError
@@ -14,7 +15,7 @@ from fracopt.fdesolve import (
     solve_reference_ode,
     uniform_grid,
 )
-from fracopt.problems import make_vandermonde
+from fracopt.problems import make_quadratic, make_thomson, make_vandermonde, random_sphere_configuration
 
 
 def linear_field(u):
@@ -161,6 +162,29 @@ class TestReferenceSolver:
         with pytest.raises(SolverConfigError):
             solve_reference_ode(make_linear(0.9))
 
+    def test_nan_field_raises_stiffness_error(self):
+        # NaN error norms are rejections: the step shrinks until it fails, as
+        # solve_ivp does after 441 field calls (FdeProblem's check of F(u0)
+        # included); the call budget turns a hang into a failure
+        calls = 0
+
+        def field(u):
+            nonlocal calls
+            calls += 1
+            if calls > 10_000:
+                raise RuntimeError("field call budget exhausted")
+            return np.where(u > 1.5, np.nan, u)
+
+        prob = FdeProblem(alpha=1.0, field=field, u0=[1.0], t_end=2.0, h=0.5)
+        with pytest.raises(StiffnessError, match="adaptive step control failed: Required step size"):
+            solve_reference_ode(prob)
+        assert calls == 441
+
+    def test_t_eval_outside_horizon_rejected(self):
+        for t_eval in ([0.0, 2.0], [0.5, 0.5], [-0.1, 0.5]):
+            with pytest.raises(SolverConfigError, match="t_eval"):
+                solve_reference_ode(make_linear(1.0, t_end=1.0, h=0.5), t_eval=t_eval)
+
     def test_gradient_flow_residual_monotone(self):
         objective, spec = make_vandermonde(10)
         lam = 0.001
@@ -172,6 +196,49 @@ class TestReferenceSolver:
 
     def test_pece_agrees_with_reference_at_order_one(self):
         assert sc.pece_reference_error(5.0) <= sc.PECE_REFERENCE_BOUND
+
+
+def _gradient_flow(objective, u0, t_end, h, gain=1.0):
+    return FdeProblem(alpha=1.0, field=lambda u: -gain * objective.gradient(u),
+                      u0=u0, t_end=t_end, h=h)
+
+
+REFERENCE_CASES = {
+    "quadratic": lambda: (_gradient_flow(make_quadratic(3.0), [1.0], 5.0, 0.01), 1e-8, 1e-10),
+    "relaxation": lambda: (make_linear(1.0), 1e-10, 1e-12),
+    "vandermonde-d11": lambda: (_gradient_flow(make_vandermonde(10)[0], np.zeros(11), 500.0, 1.0,
+                                               gain=0.001), 1e-8, 1e-10),
+    "thomson-n4": lambda: (_gradient_flow(make_thomson(4)[0], random_sphere_configuration(4, 1),
+                                          5.0, 0.05), 1e-8, 1e-10),
+    "thomson-n12": lambda: (_gradient_flow(make_thomson(12)[0], random_sphere_configuration(12, 2),
+                                           2.0, 0.05), 1e-8, 1e-10),
+    "zero-field": lambda: (FdeProblem(alpha=1.0, field=lambda u: np.zeros_like(u),
+                                      u0=[5.0], t_end=3.0, h=1e-2), 1e-8, 1e-10),
+}
+
+
+@pytest.mark.parametrize("on_grid", [False, True], ids=["steps", "t_eval"])
+@pytest.mark.parametrize("case", sorted(REFERENCE_CASES))
+def test_reference_solver_matches_solve_ivp_bit_for_bit(case, on_grid):
+    problem, rel_tol, abs_tol = REFERENCE_CASES[case]()
+    t_eval = uniform_grid(problem.t_end, problem.h) if on_grid else None
+    calls = 0
+
+    def rhs(_t, y):
+        nonlocal calls
+        calls += 1
+        return problem.field(y)
+
+    sol = solve_ivp(rhs, (0.0, problem.t_end), problem.u0, method="RK45",
+                    rtol=rel_tol, atol=abs_tol, t_eval=t_eval)
+    assert sol.success
+    expected = sol.y.T.copy()
+    expected[0] = problem.u0
+    traj = solve_reference_ode(problem, rel_tol=rel_tol, abs_tol=abs_tol, t_eval=t_eval)
+    assert traj.times.tobytes() == np.asarray(sol.t, dtype=float).tobytes()
+    assert traj.states.tobytes() == expected.tobytes()
+    assert traj.stats.field_evaluations == calls
+    assert traj.stats.steps == sol.t.size - 1
 
 
 class TestTrajectoryExport:

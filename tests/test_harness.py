@@ -179,6 +179,16 @@ class TestSpecParsing:
             ExperimentSpec(name="x", problem=ProblemSpec(kind="quadratic"),
                            methods=methods)
 
+    def test_duplicate_label_rejected(self):
+        # both methods would write dup__a__r0.csv, the second over the first
+        methods = (
+            MethodSpec("a", OptimizerConfig(method=Method.GDM, omega=0.1), k_max=5),
+            MethodSpec("b", OptimizerConfig(method=Method.GDM, omega=0.3), k_max=5),
+            MethodSpec("a", OptimizerConfig(method=Method.GDM, omega=0.2), k_max=7),
+        )
+        with pytest.raises(ConfigError, match="label 'a'"):
+            ExperimentSpec(name="dup", problem=ProblemSpec(kind="quadratic"), methods=methods)
+
     def test_unknown_problem_kind(self):
         with pytest.raises(ConfigError):
             ProblemSpec(kind="rosenbrock")

@@ -222,24 +222,35 @@ def test_runtime_import_leaves_out_mpmath(fresh_python):
     assert fresh_python("import fracopt.cli, sys; sys.exit('mpmath' in sys.modules)") == 0
 
 
-SCIPY_PROBE = """
+NO_SCIPY_PROBE = """
 import sys
+sys.modules['scipy'] = None  # any import of scipy now raises ImportError
 from fracopt import cli
-out, flows, cgm = sys.argv[1:]
-assert 'scipy' not in sys.modules, 'import fracopt.cli loaded scipy'
-assert cli.main(['--out', out, 'run', flows]) == 0
-assert 'scipy' not in sys.modules, 'a GDM + FCTM run loaded scipy'
-assert cli.main(['--out', out, 'run', cgm]) == 0
-assert 'scipy' in sys.modules
+
+def loaded():
+    return sorted(m for m, mod in sys.modules.items() if mod is not None and m.split('.')[0] == 'scipy')
+
+out, *specs = sys.argv[1:]
+assert loaded() == [], loaded()
+assert cli.main(['check']) == 0
+for spec in specs:
+    assert cli.main(['--out', out, 'run', spec]) == 0, spec
+assert loaded() == [], loaded()
 """
 
 
-def test_scipy_loaded_only_by_the_reference_solver(tmp_path, fresh_python):
-    # scipy backs the adaptive solver alone: runs that never reach it skip the import
+def test_no_cli_path_loads_scipy(tmp_path, fresh_python):
+    # numpy is the one runtime dependency: with scipy blocked, the CLI import,
+    # `fracopt check`, CGM runs (adaptive steps and a fixed grid) and a GDM +
+    # FCTM run all succeed
     quadratic = "[experiment]\nname = {}\nproblem = quadratic\nthresholds = 0.1\n\n"
-    flows, cgm = tmp_path / "flows.ini", tmp_path / "cgm.ini"
-    flows.write_text(quadratic.format("flows")
-                     + "[method.gdm]\nmethod = gdm\nomega = 0.1\nk_max = 20\n\n"
-                     + "[method.fctm]\nmethod = fctm\nalpha = 0.9\ngain = 1.0\nh = 0.1\nt_end = 2.0\n")
-    cgm.write_text(quadratic.format("cgm") + "[method.cgm]\nmethod = cgm\ngain = 1.0\nt_end = 2.0\n")
-    assert fresh_python(SCIPY_PROBE, str(tmp_path / "out"), str(flows), str(cgm)) == 0
+    specs = {
+        "flows": "[method.gdm]\nmethod = gdm\nomega = 0.1\nk_max = 20\n\n"
+                 "[method.fctm]\nmethod = fctm\nalpha = 0.9\ngain = 1.0\nh = 0.1\nt_end = 2.0\n",
+        "cgm": "[method.cgm]\nmethod = cgm\ngain = 1.0\nt_end = 2.0\n",
+        "cgm_grid": "[method.cgm]\nmethod = cgm\ngain = 1.0\nh = 0.01\nt_end = 2.0\n",
+    }
+    for name, methods in specs.items():
+        (tmp_path / f"{name}.ini").write_text(quadratic.format(name) + methods)
+    paths = [str(tmp_path / f"{name}.ini") for name in specs]
+    assert fresh_python(NO_SCIPY_PROBE, str(tmp_path / "out"), *paths) == 0
