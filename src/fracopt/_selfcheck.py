@@ -53,7 +53,7 @@ def ml_cos_error(ts: np.ndarray) -> float:
 def gl_power_rule_error(cases: Iterable[PolynomialCase]) -> float:
     """Worst error of the Grunwald-Letnikov sum (mesh 1e-5) against the
     Riemann-Liouville power rule."""
-    return max(abs(gl_derivative(p, alpha, u, MemoryWindow(lower_limit=a, step=1e-5))
+    return max(abs(gl_derivative(p, alpha, u, MemoryWindow(lower_limit=a), 1e-5)
                    - rl_poly_derivative(p, alpha, u, a))
                for p, alpha, u, a in cases)
 

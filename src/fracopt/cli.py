@@ -8,6 +8,7 @@ run diverged (or a self-check failed).
 from __future__ import annotations
 
 import argparse
+import random
 import sys
 
 import numpy as np
@@ -23,18 +24,18 @@ def _check() -> int:
     from .fracops import Polynomial
     from .problems import make_thomson, make_vandermonde
 
-    rng = np.random.default_rng(20240615)
+    rng = random.Random(20240615)
     ts = np.arange(0, 5.1, 0.5)
 
     def power_rule_case():
-        p = Polynomial(rng.uniform(-1, 1, rng.integers(2, 6)))
+        p = Polynomial([rng.uniform(-1, 1) for _ in range(rng.randint(2, 5))])
         alpha = rng.uniform(0.1, 0.9)
         a = rng.uniform(0.0, 2.0)
         return p, alpha, a + rng.uniform(0.5, 3.0), a
 
     # evaluated in order: the random cases draw from one generator
     checks = [
-        ("gamma recurrence", sc.gamma_recurrence_error(rng.uniform(0.1, 20.0, 50)),
+        ("gamma recurrence", sc.gamma_recurrence_error([rng.uniform(0.1, 20.0) for _ in range(50)]),
          sc.GAMMA_RECURRENCE_BOUND),
         ("mittag-leffler exp identity", sc.ml_exp_error(ts), sc.ML_EXP_BOUND),
         ("mittag-leffler cos identity", sc.ml_cos_error(ts), sc.ML_COS_BOUND),
@@ -49,8 +50,8 @@ def _check() -> int:
         ("fgdm equilibrium shift", sc.fgdm_shift_error(0.9, 3000), sc.FGDM_SHIFT_BOUND),
     ]
     for obj, label in ((make_vandermonde(4)[0], "vandermonde"), (make_thomson(4)[0], "thomson")):
-        checks.append((f"{label} gradient vs finite differences",
-                       sc.gradient_error(obj, [rng.uniform(0.3, 1.2, obj.dimension)]),
+        u = [rng.uniform(0.3, 1.2) for _ in range(obj.dimension)]
+        checks.append((f"{label} gradient vs finite differences", sc.gradient_error(obj, [u]),
                        sc.GRADIENT_BOUND))
 
     failed = 0

@@ -48,9 +48,9 @@ class SolverConfigError(FracoptError, ValueError):
 class SolverDivergenceError(FracoptError):
     """Integration produced a nonfinite state."""
 
-    def __init__(self, t: float, message: str = "nonfinite state during integration"):
+    def __init__(self, t: float):
         self.t = t
-        super().__init__(f"{message} at t = {t:g}")
+        super().__init__(f"nonfinite state during integration at t = {t:g}")
 
 
 class StiffnessError(FracoptError):
@@ -60,9 +60,9 @@ class StiffnessError(FracoptError):
 class IterationDivergenceError(FracoptError):
     """Discrete descent iteration produced a nonfinite iterate."""
 
-    def __init__(self, iteration: int, message: str = "nonfinite iterate"):
+    def __init__(self, iteration: int):
         self.iteration = iteration
-        super().__init__(f"{message} at iteration {iteration}")
+        super().__init__(f"nonfinite iterate at iteration {iteration}")
 
 
 class OrderRangeError(FracoptError, ValueError):

@@ -15,7 +15,7 @@ integer-order case (alpha = 1); it reproduces scipy's
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -62,13 +62,9 @@ class Trajectory:
         self.times.flags.writeable = False
         self.states.flags.writeable = False
 
-    @property
-    def dimension(self) -> int:
-        return self.states.shape[1]
-
     def to_csv(self, path) -> None:
         """Write `t,u_0,...,u_{d-1}` rows at full precision, LF endings."""
-        write_csv(path, ["t"] + [f"u_{i}" for i in range(self.dimension)],
+        write_csv(path, ["t"] + [f"u_{i}" for i in range(self.states.shape[1])],
                   ([t, *u.tolist()] for t, u in zip(self.times.tolist(), self.states)))
 
 
@@ -110,14 +106,12 @@ class FdeProblem:
     t_end: float
     h: float
     v0: np.ndarray | None = None
-    dimension: int = field(init=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "alpha", _order(self.alpha))
         u0 = np.atleast_1d(np.asarray(self.u0, dtype=float)).copy()
         u0.flags.writeable = False
         object.__setattr__(self, "u0", u0)
-        object.__setattr__(self, "dimension", u0.size)
         if self.v0 is not None:
             v0 = np.atleast_1d(np.asarray(self.v0, dtype=float)).copy()
             if v0.size == 1 and u0.size > 1:
@@ -134,12 +128,6 @@ class FdeProblem:
         f0 = np.asarray(self.field(u0), dtype=float)
         if f0.shape != u0.shape or not np.all(np.isfinite(f0)):
             raise SolverConfigError("F(u0) must be a finite vector matching u0")
-
-    def taylor_seed(self, t: float) -> np.ndarray:
-        """Initial-condition polynomial sum_{j<ceil(alpha)} t^j u^(j)(0)/j!."""
-        if self.alpha <= 1:
-            return self.u0.copy()
-        return self.u0 + float(t) * self.v0
 
 
 def _reversed_weights(a: float, n_steps: int) -> tuple[np.ndarray, np.ndarray]:
@@ -168,7 +156,7 @@ def solve_pece(problem: FdeProblem) -> Trajectory:
     h = problem.h
     times = uniform_grid(problem.t_end, h)
     n_steps = times.size - 1
-    d = problem.dimension
+    d = problem.u0.size
 
     b_rev, c_rev = _reversed_weights(a, n_steps)
     pred_scale = h**a / math.gamma(a + 1.0)
@@ -186,8 +174,8 @@ def solve_pece(problem: FdeProblem) -> Trajectory:
     with np.errstate(over="ignore", invalid="ignore"):
         for n in range(n_steps):
             t_next = times[n + 1]
-            if a > 1:
-                seed = problem.taylor_seed(t_next)
+            if a > 1:  # the Taylor seed u0 + t v0
+                seed = problem.u0 + t_next * problem.v0
 
             # predictor: seed + h^a/G(a+1) * sum_j b[n-j] F_j
             pred_sum = b_rev[n_steps - n - 1 :].dot(f_hist[: n + 1])

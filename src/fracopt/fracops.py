@@ -77,7 +77,7 @@ class Polynomial:
 
 @dataclass(frozen=True)
 class MemoryWindow:
-    """Lower integration limit, memory length, and mesh for the operators.
+    """Lower integration limit and memory length for the operators.
 
     ``memory_length = inf`` encodes a fixed lower limit; otherwise the
     effective limit at evaluation point u is max(lower_limit, u - L).
@@ -85,17 +85,12 @@ class MemoryWindow:
 
     lower_limit: float = 0.0
     memory_length: float = math.inf
-    step: float = 1e-5
 
     def __post_init__(self) -> None:
         if not math.isfinite(self.lower_limit):
             raise ValueError("lower_limit must be finite")
-        if not 0 < self.step < math.inf:
-            raise ValueError("step must be finite and > 0")
-        if not self.memory_length >= 0:
-            raise ValueError("memory_length must be >= 0 (inf for a fixed lower limit)")
-        if math.isfinite(self.memory_length) and self.memory_length < self.step:
-            raise ValueError("a finite memory_length must be >= step")
+        if not self.memory_length > 0:
+            raise ValueError("memory_length must be > 0 (inf for a fixed lower limit)")
 
     def effective_lower_limit(self, u: float) -> float:
         return max(self.lower_limit, u - self.memory_length)
@@ -119,32 +114,34 @@ def gl_derivative(
     alpha: float,
     u: float,
     window: MemoryWindow,
+    step: float,
 ) -> float:
     """Grunwald-Letnikov derivative of order alpha >= 0 at u.
 
-    Approximates the operator by its defining sum on the window's mesh:
+    Approximates the operator by its defining sum on the mesh h = ``step``:
     h^-alpha * sum_k w_k f(u - k h) with N = ceil((u - a_eff)/h) lags.
     ``f`` must accept numpy arrays elementwise.  First order accurate in h.
     """
     alpha = float(alpha)
     if alpha < 0:
         raise ValueError("alpha must be >= 0")
+    if not (0 < step < math.inf and step <= window.memory_length):
+        raise ValueError("step must be finite, > 0 and at most a finite memory_length")
     a_eff = window.effective_lower_limit(u)
     if u <= a_eff:
         raise OperatorDomainError(
             f"u = {u:g} must exceed the effective lower limit {a_eff:g}"
         )
-    h = window.step
-    n = math.ceil((u - a_eff) / h - 1e-12)
+    n = math.ceil((u - a_eff) / step - 1e-12)
     w = gl_weights(alpha, n)
-    points = u - h * np.arange(n + 1)
+    points = u - step * np.arange(n + 1)
     samples = np.asarray(f(points), dtype=float)
     if samples.shape != points.shape:
         raise ValueError("f must map a sample vector to a same-shape vector")
     if not np.all(np.isfinite(samples)):
         bad = points[~np.isfinite(samples)][0]
         raise OperatorDomainError(f"f evaluated nonfinite at u = {bad:g}")
-    return float(np.dot(w, samples) / h**alpha)
+    return float(np.dot(w, samples) / step**alpha)
 
 
 def _validate_limits(u: float, a: float) -> None:

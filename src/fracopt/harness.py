@@ -65,6 +65,10 @@ EXIT_DIVERGED = 3
 # restart seeds are derived as base_seed + _SEED_STRIDE * restart
 _SEED_STRIDE = 7919
 
+# the ProblemSpec fields each problem kind takes, besides its kind
+_PROBLEM_FIELDS = {"quadratic": ("c", "u0"), "vandermonde": ("degree", "target_rule", "u0"),
+                   "thomson": ("charges",)}
+
 
 @dataclass(frozen=True)
 class ProblemSpec:
@@ -76,7 +80,7 @@ class ProblemSpec:
     target_rule: str = "alternating"
 
     def __post_init__(self) -> None:
-        if self.kind not in ("quadratic", "vandermonde", "thomson"):
+        if self.kind not in _PROBLEM_FIELDS:
             raise ConfigError(f"unknown problem kind: {self.kind!r}")
         if self.target_rule not in ("alternating", "dominant-modes"):
             raise ConfigError(f"unknown target rule: {self.target_rule!r}")
@@ -265,8 +269,8 @@ def _write_method(out: Path, spec: ExperimentSpec, mspec: MethodSpec,
             on_result(mspec.label, restart, outcome)
         records.append(SummaryRecord(
             **cell, passages={t: outcome.first_passage.get(t) for t in spec.thresholds},
-            final_metric=outcome.final_metric, field_evaluations=outcome.cost.field_evaluations,
-            status="completed", wall_seconds=outcome.cost.wall_seconds))
+            final_metric=outcome.final_metric, field_evaluations=outcome.field_evaluations,
+            status="completed", wall_seconds=outcome.wall_seconds))
     return records
 
 
@@ -394,6 +398,15 @@ def _method_spec(name: str, kwargs: dict) -> MethodSpec:
     return MethodSpec(name.removeprefix("method."), OptimizerConfig(**cfg), **kwargs[MethodSpec])
 
 
+def _problem_spec(fields: dict) -> ProblemSpec:
+    # a missing `problem =` is an empty, unknown kind, which ProblemSpec names
+    kind = fields.setdefault("kind", "")
+    # each key is its field's name; one of another kind is an error whatever its value
+    if foreign := sorted(fields.keys() - {"kind", *_PROBLEM_FIELDS.get(kind, fields)}):
+        raise ConfigError(f"{foreign[0]} is not a {kind} key")
+    return ProblemSpec(**fields)
+
+
 def parse_spec_file(path: str | Path) -> ExperimentSpec:
     """Parse the INI-style experiment description documented in the README:
     one [experiment] section plus one [method.<label>] section per entry.
@@ -415,9 +428,8 @@ def parse_spec_file(path: str | Path) -> ExperimentSpec:
         raise ConfigError("missing [experiment] section")
     methods = tuple(_read_section(parser, s, _METHOD_KEYS, _method_spec)
                     for s in sections if s != "experiment")
-    # as for `method =`, a missing `problem =` is an empty, unknown kind
     return _read_section(parser, "experiment", _EXPERIMENT_KEYS, lambda _, kwargs: ExperimentSpec(
-        problem=ProblemSpec(**{"kind": "", **kwargs[ProblemSpec]}), methods=methods,
+        problem=_problem_spec(kwargs[ProblemSpec]), methods=methods,
         **{"name": Path(path).stem, **kwargs[ExperimentSpec]}))
 
 
@@ -476,6 +488,7 @@ def _reproduce_fig4(out: Path, seed: int, workers: int):
     # oscillations beyond
     alphas = (0.9, 1.0, 1.2, 1.5, 1.7)
     methods = tuple(_fctm(f"fctm-a{a:g}", a, gain=1.0, h=2e-3, t_end=20.0) for a in alphas)
+    alpha_of = {m.label: m.cfg.alpha for m in methods}
     census_rows = []
 
     def energy_trace(label: str, _restart: int, result: RunResult) -> None:
@@ -484,7 +497,7 @@ def _reproduce_fig4(out: Path, seed: int, workers: int):
         diff = result.trace.states - 3.0
         energy = EnergyTrace(times=result.trace.times, energies=np.sum(diff * diff, axis=1))
         energy.to_csv(out / f"fig4__energy__{label}.csv")
-        census_rows.append((label, result.alpha, oscillation_census(energy)))
+        census_rows.append((label, alpha_of[label], oscillation_census(energy)))
 
     records, code = run_experiment(_quadratic_spec("fig4", methods, seed), out, workers,
                                    on_result=energy_trace)

@@ -47,7 +47,6 @@ __all__ = [
     "OptimizerConfig",
     "StoppingRule",
     "DiscreteTrace",
-    "RunCost",
     "RunResult",
     "EnergyTrace",
     "run_gdm",
@@ -132,6 +131,10 @@ class OptimizerConfig:
             raise ConfigError("fctm requires alpha in (0, 2]")
         if m is Method.FGDM and self.fgdm_operator not in ("caputo", "rl"):
             raise ConfigError("fgdm_operator must be 'caputo' or 'rl'")
+        # a finite memory's limit max(a, u - L) may stay >= 0 from an a < 0
+        window = self.window
+        if m is Method.FGDM and window.memory_length == math.inf and window.lower_limit < 0:
+            raise ConfigError(f"a fixed fgdm lower limit must be >= 0, got {window.lower_limit:g}")
         if self.v0 is not None and self.alpha <= 1:
             raise ConfigError("v0 is only meaningful for alpha > 1")
         if self.h is not None and self.t_end is not None:
@@ -191,21 +194,15 @@ class DiscreteTrace:
 
 
 @dataclass(frozen=True)
-class RunCost:
-    field_evaluations: int
-    wall_seconds: float
-
-
-@dataclass(frozen=True)
 class RunResult:
-    alpha: float
     trace: Trajectory | None
     iterations: DiscreteTrace | None
     first_passage: dict[float, float]
     final_metric: float
     converged_to: np.ndarray
     converged: bool
-    cost: RunCost
+    field_evaluations: int
+    wall_seconds: float
 
 
 def first_passages(
@@ -223,7 +220,6 @@ def first_passages(
 
 def _wrap_result(
     objective: Objective,
-    cfg: OptimizerConfig,
     stop: StoppingRule,
     history: Trajectory | DiscreteTrace,
     nfev: int,
@@ -241,21 +237,19 @@ def _wrap_result(
     converged = stop.epsilon is None or bool(np.any(metrics < stop.epsilon))
     converged_to = states[-1] if converged else states[int(np.argmin(metrics))]
     return RunResult(
-        alpha=cfg.alpha,
         trace=trace,
         iterations=iterations,
         first_passage=passages,
         final_metric=float(metrics[-1]),
         converged_to=np.array(converged_to),
         converged=converged,
-        cost=RunCost(field_evaluations=nfev, wall_seconds=wall),
+        field_evaluations=nfev, wall_seconds=wall,
     )
 
 
 def _descend(
     objective: Objective,
     starts: np.ndarray,
-    cfg: OptimizerConfig,
     stop: StoppingRule,
     step: Callable[[int, np.ndarray], tuple[np.ndarray, bool]],
 ) -> list[RunResult]:
@@ -312,7 +306,7 @@ def _descend(
                 break
     wall = (time.perf_counter() - t0) / n_rows  # an equal share per row
     # one step per iterate after the start
-    return [_wrap_result(objective, cfg, stop,
+    return [_wrap_result(objective, stop,
                          DiscreteTrace(iterates=iterates[i, :e + 1], costs=costs[i, :e + 1]),
                          int(e), wall)
             for i, e in enumerate(last)]
@@ -320,7 +314,7 @@ def _descend(
 
 def _gdm(objective: Objective, starts: np.ndarray, cfg: OptimizerConfig,
          stop: StoppingRule) -> list[RunResult]:
-    return _descend(objective, starts, cfg, stop,
+    return _descend(objective, starts, stop,
                     lambda k, u: (u - cfg.omega * objective.gradient(u), False))
 
 
@@ -337,7 +331,7 @@ def _cgm(objective: Objective, starts: np.ndarray, cfg: OptimizerConfig,
                              u0=u0, t_end=cfg.t_end, h=cfg.h or cfg.t_end / 2)
         t_eval = uniform_grid(cfg.t_end, problem.h) if cfg.h else None
         traj = solve_reference_ode(problem, t_eval=t_eval)
-        results.append(_wrap_result(objective, cfg, stop, traj, traj.stats.field_evaluations,
+        results.append(_wrap_result(objective, stop, traj, traj.stats.field_evaluations,
                                     time.perf_counter() - t0))
     return results
 
@@ -363,7 +357,7 @@ def _fgdm(objective: Objective, starts: np.ndarray, cfg: OptimizerConfig,
         # settled at the operator zero to machine precision
         return np.array([x_next]), abs(omega * d) < 1e-14 * max(1.0, abs(x_next))
 
-    return [_descend(objective, u0[None, :1], cfg, stop, step)[0] for u0 in starts]
+    return [_descend(objective, u0[None, :1], stop, step)[0] for u0 in starts]
 
 
 def _fctm(objective: Objective, starts: np.ndarray, cfg: OptimizerConfig,
@@ -390,7 +384,7 @@ def _fctm(objective: Objective, starts: np.ndarray, cfg: OptimizerConfig,
     wall = (time.perf_counter() - t0) / n_rows  # an equal share per row
     nfev = traj.stats.field_evaluations  # per row: each call advances every row
     # a row's columns are a view; one row's are the whole contiguous array
-    return [_wrap_result(objective, cfg, stop,
+    return [_wrap_result(objective, stop,
                          Trajectory(times=traj.times, states=traj.states[:, i * d:(i + 1) * d],
                                     stats=traj.stats), nfev, wall)
             for i in range(n_rows)]

@@ -40,6 +40,7 @@ THOMSON_REFERENCE_ENERGIES = {
 }
 
 _COINCIDENCE_TOL = 1e-12
+_SAMPLE_RETRIES = 100
 
 
 @dataclass(frozen=True)
@@ -57,7 +58,6 @@ class Objective:
     (the quadratic); FGDM runs only on such objectives.
     """
 
-    name: str
     dimension: int
     f: Callable[[np.ndarray], float | np.ndarray]
     gradient: Callable[[np.ndarray], np.ndarray]
@@ -96,7 +96,6 @@ def make_quadratic(c: float) -> Objective:
         return float(value) if value.ndim == 0 else value
 
     return Objective(
-        name=f"quadratic(c={c:g})",
         dimension=1,
         f=f,
         gradient=gradient,
@@ -166,7 +165,6 @@ def make_vandermonde(
         return 2.0 * (mat.T @ (mat @ u - tgt))
 
     objective = Objective(
-        name=f"vandermonde(m={m})",
         dimension=n,
         f=f,
         gradient=gradient,
@@ -186,13 +184,8 @@ class ThomsonSpec:
 
     charges: int
 
-    def split(self, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        n = self.charges
-        u = np.asarray(u, dtype=float)
-        return u[:n], u[n:]
-
     def cartesian(self, u: np.ndarray) -> np.ndarray:
-        theta, phi = self.split(u)
+        theta, phi = u[:self.charges], u[self.charges:]
         sin_phi = np.sin(phi)
         return np.column_stack(
             (sin_phi * np.cos(theta), sin_phi * np.sin(theta), np.cos(phi))
@@ -259,7 +252,6 @@ def make_thomson(n_charges: int) -> tuple[Objective, ThomsonSpec]:
         return np.concatenate((g_theta, g_phi), axis=-1)
 
     objective = Objective(
-        name=f"thomson(N={n})",
         dimension=2 * n,
         f=f,
         gradient=gradient,
@@ -268,7 +260,7 @@ def make_thomson(n_charges: int) -> tuple[Objective, ThomsonSpec]:
     return objective, spec
 
 
-def random_sphere_configuration(n_charges: int, seed: int, max_retries: int = 100) -> np.ndarray:
+def random_sphere_configuration(n_charges: int, seed: int) -> np.ndarray:
     """Seeded uniform sample of N charges, as the 2N-angle parameter vector.
 
     By Archimedes' hat-box theorem z = cos(phi) is uniform on [-1, 1], so
@@ -278,7 +270,7 @@ def random_sphere_configuration(n_charges: int, seed: int, max_retries: int = 10
     keeps that sequence for a given seed across versions.  The seed is a
     non-negative integer (numpy integers included).  Draws are rejected
     until no two points are closer than 1e-3 in angular distance; a
-    pathological seed exhausting the budget raises
+    pathological seed exhausting the budget of ``_SAMPLE_RETRIES`` draws raises
     :class:`SampleRetryError`.
     """
     if n_charges < 2:
@@ -288,7 +280,7 @@ def random_sphere_configuration(n_charges: int, seed: int, max_retries: int = 10
         raise ValueError(f"seed must be non-negative, got {seed}")
     rng = random.Random(seed)
     spec = ThomsonSpec(n_charges)
-    for _ in range(max_retries):
+    for _ in range(_SAMPLE_RETRIES):
         theta = [math.pi * (2.0 * rng.random() - 1.0) for _ in range(n_charges)]
         phi = [math.acos(2.0 * rng.random() - 1.0) for _ in range(n_charges)]
         u = np.array(theta + phi)
@@ -298,5 +290,5 @@ def random_sphere_configuration(n_charges: int, seed: int, max_retries: int = 10
         if math.acos(float(np.max(dots))) >= 1e-3:
             return u
     raise SampleRetryError(
-        f"could not place {n_charges} separated charges in {max_retries} draws"
+        f"could not place {n_charges} separated charges in {_SAMPLE_RETRIES} draws"
     )

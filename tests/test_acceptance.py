@@ -87,7 +87,7 @@ def test_criterion_2_fgdm_misconvergence():
         details.append(f"a={alpha}: fixed-limit gap {gap:.2e}")
 
         h = 1e-3
-        window = MemoryWindow(lower_limit=0.0, memory_length=h, step=h)
+        window = MemoryWindow(lower_limit=0.0, memory_length=h)
         cfg = OptimizerConfig(method=Method.FGDM, alpha=alpha, omega=0.05,
                               fgdm_operator="caputo", window=window)
         res = run_fgdm(QUAD, 1.0, cfg, StoppingRule(k_max=20000))

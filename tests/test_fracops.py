@@ -45,7 +45,7 @@ class TestPolynomial:
 
 class TestMemoryWindow:
     def test_effective_limit(self):
-        w = MemoryWindow(lower_limit=1.0, memory_length=0.5, step=0.1)
+        w = MemoryWindow(lower_limit=1.0, memory_length=0.5)
         assert w.effective_lower_limit(3.0) == 2.5
         assert w.effective_lower_limit(1.2) == 1.0
 
@@ -55,11 +55,7 @@ class TestMemoryWindow:
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            MemoryWindow(step=0.0)
-        with pytest.raises(ValueError):
             MemoryWindow(memory_length=-1.0)
-        with pytest.raises(ValueError):
-            MemoryWindow(memory_length=1e-4, step=1e-3)
 
 
 class TestGrunwaldLetnikov:
@@ -71,30 +67,37 @@ class TestGrunwaldLetnikov:
             assert w[k] == pytest.approx(ref, abs=1e-14)
 
     def test_first_derivative_of_identity(self):
-        w = MemoryWindow(lower_limit=0.0, step=1e-5)
-        assert gl_derivative(lambda x: x, 1.0, 2.0, w) == pytest.approx(1.0, abs=1e-4)
+        w = MemoryWindow(lower_limit=0.0)
+        assert gl_derivative(lambda x: x, 1.0, 2.0, w, 1e-5) == pytest.approx(1.0, abs=1e-4)
 
     def test_half_derivative_of_square(self):
         # power rule oracle: Gamma(3)/Gamma(2.5) * u^1.5 at u = 1
         expected = gamma(3.0) / gamma(2.5)
-        w = MemoryWindow(lower_limit=0.0, step=1e-5)
-        assert gl_derivative(lambda x: x * x, 0.5, 1.0, w) == pytest.approx(
+        w = MemoryWindow(lower_limit=0.0)
+        assert gl_derivative(lambda x: x * x, 0.5, 1.0, w, 1e-5) == pytest.approx(
             expected, abs=1e-3
         )
 
     def test_order_zero_returns_input(self):
-        w = MemoryWindow(lower_limit=0.0, step=1e-5)
-        assert gl_derivative(np.sin, 0.0, 3.0, w) == math.sin(3.0)
+        w = MemoryWindow(lower_limit=0.0)
+        assert gl_derivative(np.sin, 0.0, 3.0, w, 1e-5) == math.sin(3.0)
 
     def test_domain_error(self):
-        w = MemoryWindow(lower_limit=2.0, step=1e-3)
+        w = MemoryWindow(lower_limit=2.0)
         with pytest.raises(OperatorDomainError):
-            gl_derivative(lambda x: x, 0.5, 2.0, w)
+            gl_derivative(lambda x: x, 0.5, 2.0, w, 1e-3)
 
     def test_nonfinite_sample_propagates(self):
-        w = MemoryWindow(lower_limit=0.0, step=0.25)
+        w = MemoryWindow(lower_limit=0.0)
         with pytest.raises(OperatorDomainError):
-            gl_derivative(lambda x: np.where(x < 0.3, np.inf, x), 0.5, 1.0, w)
+            gl_derivative(lambda x: np.where(x < 0.3, np.inf, x), 0.5, 1.0, w, 0.25)
+
+    def test_step_validation(self):
+        # the mesh is the sum's own: a finite step > 0, no longer than a finite memory
+        with pytest.raises(ValueError):
+            gl_derivative(lambda x: x, 0.5, 1.0, MemoryWindow(), 0.0)
+        with pytest.raises(ValueError):
+            gl_derivative(lambda x: x, 0.5, 1.0, MemoryWindow(memory_length=1e-4), 1e-3)
 
 
 class TestClosedFormRules:

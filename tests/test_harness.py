@@ -460,6 +460,9 @@ out, spec = sys.argv[1:]
 assert cli.main(['--out', out, 'run', spec]) == 0
 loaded = {'numpy.random', '_hashlib'} & set(sys.modules)
 assert not loaded, f'a seeded Thomson run loaded {sorted(loaded)}'
+assert cli.main(['check']) == 0
+loaded = {'numpy.random', '_hashlib'} & set(sys.modules)
+assert not loaded, f'fracopt check loaded {sorted(loaded)}'
 """
 
 
@@ -525,6 +528,17 @@ class TestCli:
             "[method.f]\nmethod = fgdm\nalpha = 0.9\nomega = 0.1\nk_max = 5\n",
             quadratic + "[method.f]\nmethod = fgdm\nalpha = 0.9\nomega = 0.1\nk_max = 5\n"
                         "window_step = 0.001\n",  # no longer a spec key
+            quadratic + "charges = 12\n" + gdm,  # keys of another problem kind
+            quadratic + "degree = 3\n" + gdm,
+            quadratic + "target_rule = dominant-modes\n" + gdm,
+            quadratic + "charges = 4\n" + gdm,  # even at the default value
+            "[experiment]\nproblem = vandermonde\ncharges = 4\n" + gdm,
+            "[experiment]\nproblem = thomson\nc = 3.0\n" + gdm,
+            "[experiment]\nproblem = thomson\ndegree = 3\n" + gdm,
+            quadratic + "[method.f]\nmethod = fgdm\nalpha = 0.9\nomega = 0.1\nk_max = 5\n"
+                        "window_lower = -1\n",  # a fixed lower limit below 0
+            quadratic + "[method.f]\nmethod = fgdm\nalpha = 0.9\nomega = 0.1\nk_max = 5\n"
+                        "window_length = 0\n",  # a memory that holds no point
         ]
         path = tmp_path / "bad.ini"
         for text in bad_specs:
@@ -549,6 +563,29 @@ class TestCli:
         assert main(["--out", str(tmp_path / "out"), "run", str(path)]) == EXIT_CONFIG
         name = key.split(" =")[0]
         assert f"[method.f]: {name} is not a fctm key" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("kind,key", [("quadratic", "charges = 12"),
+                                          ("quadratic", "target_rule = alternating"),
+                                          ("thomson", "u0 = 1.0")])
+    def test_foreign_problem_key_named_as_written(self, tmp_path, capsys, kind, key):
+        path = tmp_path / "bad.ini"
+        path.write_text(f"[experiment]\nproblem = {kind}\n{key}\n\n"
+                        "[method.gdm]\nmethod = gdm\nomega = 0.1\nk_max = 5\n")
+        assert main(["--out", str(tmp_path / "out"), "run", str(path)]) == EXIT_CONFIG
+        name = key.split(" =")[0]
+        assert f"[experiment]: {name} is not a {kind} key" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("window", ["window_length = 0.000001",
+                                        "window_lower = -1\nwindow_length = 0.5"],
+                             ids=["short-memory", "negative-limit-finite-memory"])
+    def test_fgdm_window_without_mesh_runs(self, tmp_path, window):
+        # a window holds a limit and a memory length, no mesh: a memory of 1e-6
+        # runs, and so does a limit a < 0 that max(a, u - L) never takes while u > L
+        path = tmp_path / "w.ini"
+        path.write_text("[experiment]\nname = w\nproblem = quadratic\n\n[method.f]\n"
+                        f"method = fgdm\nalpha = 0.9\nomega = 0.05\nk_max = 50\n{window}\n")
+        assert main(["--out", str(tmp_path), "run", str(path)]) == EXIT_OK
 
     def test_shipped_fgdm_comparison_runs(self, tmp_path):
         out = tmp_path / "out"
@@ -642,7 +679,7 @@ class TestTypedFailures:
         monkeypatch.setattr(harness, "TABLE2_T_END", 0.1)
 
     def test_start_point_sampling_failure(self, tmp_path, monkeypatch):
-        def exhausted(n_charges, seed, max_retries=100):
+        def exhausted(n_charges, seed):
             raise SampleRetryError("no separated charges")
 
         monkeypatch.setattr(harness, "random_sphere_configuration", exhausted)

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from fracopt import _selfcheck as sc
+from fracopt import problems
 from fracopt.errors import SampleRetryError, SingularPairError
 from fracopt.optimizers import Method, OptimizerConfig, StoppingRule, run_gdm
 from fracopt.problems import (
@@ -264,9 +265,10 @@ class TestSphereSampler:
         with pytest.raises(ValueError):
             random_sphere_configuration(4, seed=-1)
 
-    def test_retry_budget(self):
+    def test_retry_budget(self, monkeypatch):
+        monkeypatch.setattr(problems, "_SAMPLE_RETRIES", 0)
         with pytest.raises(SampleRetryError):
-            random_sphere_configuration(4, seed=0, max_retries=0)
+            random_sphere_configuration(4, seed=0)
 
     def test_needs_two_charges(self):
         with pytest.raises(ValueError):
