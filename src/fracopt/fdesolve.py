@@ -150,8 +150,15 @@ def solve_pece(problem: FdeProblem) -> Trajectory:
     One corrector iteration per step (predict, evaluate, correct,
     evaluate), hence exactly 2 field evaluations per step plus the initial
     one.  Raises :class:`SolverDivergenceError` with the offending time if
-    a state goes nonfinite.
+    a state goes nonfinite.  A one-component state steps on Python floats,
+    with the bytes of the array loop.
     """
+    return _solve_pece(problem, _pece_floats if problem.u0.size == 1 else _pece_arrays)
+
+
+def _solve_pece(problem: FdeProblem, loop) -> Trajectory:
+    """Grid, weights and the field at u0, then ``loop`` fills rows 1..N of
+    the states and of the field history."""
     a = problem.alpha
     h = problem.h
     times = uniform_grid(problem.t_end, h)
@@ -166,38 +173,69 @@ def solve_pece(problem: FdeProblem) -> Trajectory:
     f_hist = np.empty((n_steps + 1, d))
     states[0] = problem.u0
     f_hist[0] = problem.field(problem.u0)
-    f0 = f_hist[0]
-    nfev = 1
-    seed = problem.u0  # the Taylor seed at every t below order 1; u0 is read-only
 
     # overflow on a diverging problem is expected and detected explicitly
     with np.errstate(over="ignore", invalid="ignore"):
-        for n in range(n_steps):
-            t_next = times[n + 1]
-            if a > 1:  # the Taylor seed u0 + t v0
-                seed = problem.u0 + t_next * problem.v0
-
-            # predictor: seed + h^a/G(a+1) * sum_j b[n-j] F_j
-            pred_sum = b_rev[n_steps - n - 1 :].dot(f_hist[: n + 1])
-            u_pred = seed + pred_scale * pred_sum
-            f_pred = np.asarray(problem.field(u_pred), dtype=float)
-            nfev += 1
-
-            # corrector: history term with the j = 0 weight handled separately
-            a0 = float(n) ** (a + 1.0) - (n - a) * (n + 1.0) ** a
-            corr_sum = a0 * f0
-            if n >= 1:
-                corr_sum = corr_sum + c_rev[n_steps - 1 - n :].dot(f_hist[1 : n + 1])
-            u_next = seed + corr_scale * (corr_sum + f_pred)
-
-            if not np.isfinite(u_next).all():
-                raise SolverDivergenceError(t_next)
-            states[n + 1] = u_next
-            f_hist[n + 1] = problem.field(u_next)
-            nfev += 1
-
-    stats = TrajectoryStats(steps=n_steps, field_evaluations=nfev)
+        loop(problem, times, b_rev, c_rev, pred_scale, corr_scale, states, f_hist)
+    stats = TrajectoryStats(steps=n_steps, field_evaluations=1 + 2 * n_steps)
     return Trajectory(times=times, states=states, stats=stats)
+
+
+def _pece_arrays(problem, times, b_rev, c_rev, pred_scale, corr_scale, states, f_hist) -> None:
+    """The PECE steps on state arrays, for any dimension."""
+    a = problem.alpha
+    n_steps = times.size - 1
+    f0 = f_hist[0]
+    seed = problem.u0  # the Taylor seed at every t below order 1; u0 is read-only
+    for n in range(n_steps):
+        t_next = times[n + 1]
+        if a > 1:  # the Taylor seed u0 + t v0
+            seed = problem.u0 + t_next * problem.v0
+
+        # predictor: seed + h^a/G(a+1) * sum_j b[n-j] F_j
+        pred_sum = b_rev[n_steps - n - 1 :].dot(f_hist[: n + 1])
+        u_pred = seed + pred_scale * pred_sum
+        f_pred = np.asarray(problem.field(u_pred), dtype=float)
+
+        # corrector: history term with the j = 0 weight handled separately
+        a0 = float(n) ** (a + 1.0) - (n - a) * (n + 1.0) ** a
+        corr_sum = a0 * f0
+        if n >= 1:
+            corr_sum = corr_sum + c_rev[n_steps - 1 - n :].dot(f_hist[1 : n + 1])
+        u_next = seed + corr_scale * (corr_sum + f_pred)
+
+        if not np.isfinite(u_next).all():
+            raise SolverDivergenceError(t_next)
+        states[n + 1] = u_next
+        f_hist[n + 1] = problem.field(u_next)
+
+
+def _pece_floats(problem, times, b_rev, c_rev, pred_scale, corr_scale, states, f_hist) -> None:
+    """The PECE steps of a one-component state: :func:`_pece_arrays`'
+    operations in the same order on Python floats, which round alike and
+    skip a numpy call per operation.  The history sums are the same BLAS
+    dots, and the field still gets a fresh float64 array."""
+    a, field = problem.alpha, problem.field
+    n_steps = times.size - 1
+    u0 = seed = problem.u0.item()
+    f0 = f_hist.item(0)
+    for n in range(n_steps):
+        if a > 1:
+            seed = u0 + times.item(n + 1) * problem.v0.item()
+
+        pred_sum = float(b_rev[n_steps - n - 1 :].dot(f_hist[: n + 1])[0])
+        f_pred = float(field(np.array([seed + pred_scale * pred_sum]))[0])
+
+        a0 = float(n) ** (a + 1.0) - (n - a) * (n + 1.0) ** a
+        corr_sum = a0 * f0
+        if n >= 1:
+            corr_sum = corr_sum + float(c_rev[n_steps - 1 - n :].dot(f_hist[1 : n + 1])[0])
+        u_next = seed + corr_scale * (corr_sum + f_pred)
+
+        if not math.isfinite(u_next):
+            raise SolverDivergenceError(times[n + 1])
+        states[n + 1, 0] = u_next
+        f_hist[n + 1] = field(np.array([u_next]))
 
 
 # Dormand-Prince 5(4) (J. Comput. Appl. Math. 6 (1980) 19-26): stage weights A,

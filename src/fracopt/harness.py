@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import configparser
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 from typing import Callable
 
@@ -65,36 +65,45 @@ EXIT_DIVERGED = 3
 # restart seeds are derived as base_seed + _SEED_STRIDE * restart
 _SEED_STRIDE = 7919
 
-# the ProblemSpec fields each problem kind takes, besides its kind
-_PROBLEM_FIELDS = {"quadratic": ("c", "u0"), "vandermonde": ("degree", "target_rule", "u0"),
-                   "thomson": ("charges",)}
+# the ProblemSpec fields each problem kind takes, besides its kind, with
+# their defaults; the fields of the other kinds stay None
+_PROBLEM_FIELDS = {"quadratic": {"c": 3.0, "u0": None},
+                   "vandermonde": {"degree": 10, "target_rule": "alternating", "u0": None},
+                   "thomson": {"charges": 4}}
 
 
 @dataclass(frozen=True)
 class ProblemSpec:
     kind: str
-    c: float = 3.0
+    c: float | None = None
     u0: tuple[float, ...] | None = None
-    degree: int = 10
-    charges: int = 4
-    target_rule: str = "alternating"
+    degree: int | None = None
+    charges: int | None = None
+    target_rule: str | None = None
 
     def __post_init__(self) -> None:
         if self.kind not in _PROBLEM_FIELDS:
             raise ConfigError(f"unknown problem kind: {self.kind!r}")
-        if self.target_rule not in ("alternating", "dominant-modes"):
+        takes = _PROBLEM_FIELDS[self.kind]
+        for f in fields(self)[1:]:
+            if f.name not in takes and getattr(self, f.name) is not None:
+                raise ConfigError(f"{f.name} is not a {self.kind} key")
+            if getattr(self, f.name) is None:  # the kind's default, or None
+                object.__setattr__(self, f.name, takes.get(f.name))
+        if self.target_rule not in (None, "alternating", "dominant-modes"):
             raise ConfigError(f"unknown target rule: {self.target_rule!r}")
-        if self.charges < 2:
+        if self.kind == "thomson" and self.charges < 2:
             raise ConfigError(f"charges must be >= 2, got {self.charges}")
-        if self.degree < 1:
+        if self.kind == "vandermonde" and self.degree < 1:
             raise ConfigError(f"degree must be >= 1, got {self.degree}")
-        if not math.isfinite(self.c):
+        if self.kind == "quadratic" and not math.isfinite(self.c):
             raise ConfigError(f"c must be finite, got {self.c}")
-        if self.u0 is not None and not all(map(math.isfinite, self.u0)):
-            raise ConfigError(f"u0 values must be finite, got {self.u0}")
-        size = {"quadratic": 1, "vandermonde": self.degree + 1}.get(self.kind, 0)
-        if self.u0 is not None and len(self.u0) != size:
-            raise ConfigError(f"{self.kind} takes {size} u0 value(s), got {len(self.u0)}")
+        if self.u0 is not None:
+            if not all(map(math.isfinite, self.u0)):
+                raise ConfigError(f"u0 values must be finite, got {self.u0}")
+            size = 1 if self.kind == "quadratic" else self.degree + 1
+            if len(self.u0) != size:
+                raise ConfigError(f"{self.kind} takes {size} u0 value(s), got {len(self.u0)}")
 
 
 @dataclass(frozen=True)
@@ -398,13 +407,14 @@ def _method_spec(name: str, kwargs: dict) -> MethodSpec:
     return MethodSpec(name.removeprefix("method."), OptimizerConfig(**cfg), **kwargs[MethodSpec])
 
 
-def _problem_spec(fields: dict) -> ProblemSpec:
+def _problem_spec(given: dict) -> ProblemSpec:
     # a missing `problem =` is an empty, unknown kind, which ProblemSpec names
-    kind = fields.setdefault("kind", "")
-    # each key is its field's name; one of another kind is an error whatever its value
-    if foreign := sorted(fields.keys() - {"kind", *_PROBLEM_FIELDS.get(kind, fields)}):
+    kind = given.setdefault("kind", "")
+    # each key is its field's name; one of another kind is an error whatever
+    # its value, and an empty `u0 =` reads as None, so the keys are checked here
+    if foreign := sorted(given.keys() - {"kind", *_PROBLEM_FIELDS.get(kind, given)}):
         raise ConfigError(f"{foreign[0]} is not a {kind} key")
-    return ProblemSpec(**fields)
+    return ProblemSpec(**given)
 
 
 def parse_spec_file(path: str | Path) -> ExperimentSpec:

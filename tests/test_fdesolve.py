@@ -7,6 +7,7 @@ import pytest
 from scipy.integrate import solve_ivp
 
 from fracopt import _selfcheck as sc
+from fracopt import fdesolve
 from fracopt.errors import SolverConfigError, SolverDivergenceError, StiffnessError
 from fracopt.fdesolve import (
     FdeProblem,
@@ -138,6 +139,71 @@ class TestPece:
         with pytest.raises(SolverDivergenceError) as err:
             solve_pece(prob)
         assert err.value.t > 0
+
+
+def _both_loops(problem):
+    """The solve by the one-component float loop and by the array loop."""
+    return (fdesolve._solve_pece(problem, fdesolve._pece_floats),
+            fdesolve._solve_pece(problem, fdesolve._pece_arrays))
+
+
+def _assert_same_bytes(floats, arrays):
+    assert floats.times.tobytes() == arrays.times.tobytes()
+    assert floats.states.tobytes() == arrays.states.tobytes()
+    assert floats.stats == arrays.stats
+
+
+_QUADRATIC_GRADIENT = make_quadratic(3.0).gradient
+
+
+class TestFloatLoop:
+    """At d = 1 the float loop must give the array loop's bytes."""
+
+    @pytest.mark.parametrize("alpha,v0", [(0.3, None), (0.9, None), (1.0, None),
+                                          (1.5, 0.5), (2.0, 0.0)])
+    @pytest.mark.parametrize("field,u0", [
+        (linear_field, 1.0),
+        (lambda u: -1.0 * _QUADRATIC_GRADIENT(u), 1.0),  # FCTM on (u - 3)^2, gain 1
+        (lambda u: -np.sin(u), 2.5),
+        (linear_field, 3.0),  # at the equilibrium
+    ], ids=["linear", "fctm-quadratic", "sine", "equilibrium"])
+    def test_same_bytes_as_array_loop(self, alpha, v0, field, u0):
+        floats, arrays = _both_loops(FdeProblem(alpha=alpha, field=field, u0=np.array([u0]),
+                                                t_end=5.0, h=1e-2, v0=v0))
+        _assert_same_bytes(floats, arrays)
+        if u0 == 3.0 and not v0:
+            assert np.all(floats.states == 3.0)
+
+    def test_same_divergence_time(self):
+        prob = FdeProblem(alpha=0.9, field=lambda u: u * u, u0=np.array([4.0]),
+                          t_end=50.0, h=0.5)
+        times = []
+        for loop in (fdesolve._pece_floats, fdesolve._pece_arrays):
+            with pytest.raises(SolverDivergenceError) as err:
+                fdesolve._solve_pece(prob, loop)
+            times.append((err.value.t, str(err.value)))
+        assert times[0] == times[1]
+
+    @pytest.mark.parametrize("field", [
+        lambda u: [float(-2.0 * (u[0] - 3.0))],
+        lambda u: (-2.0 * (u - 3.0)).astype(np.float32),
+        lambda u: np.rint(-2.0 * (u - 3.0)).astype(np.int64),
+    ], ids=["list", "float32", "int64"])
+    def test_field_result_types(self, field):
+        _assert_same_bytes(*_both_loops(FdeProblem(alpha=0.8, field=field, u0=np.array([1.0]),
+                                                   t_end=2.0, h=1e-2)))
+
+    def test_loop_chosen_by_state_size(self, monkeypatch):
+        ran = []
+        for name in ("_pece_floats", "_pece_arrays"):
+            def spy(*args, _name=name, _loop=getattr(fdesolve, name)):
+                ran.append(_name)
+                return _loop(*args)
+            monkeypatch.setattr(fdesolve, name, spy)
+        solve_pece(make_linear(0.9, t_end=1.0, h=0.1))
+        solve_pece(FdeProblem(alpha=0.9, field=linear_field, u0=np.array([1.0, 2.0]),
+                              t_end=1.0, h=0.1))
+        assert ran == ["_pece_floats", "_pece_arrays"]
 
 
 class TestReferenceSolver:

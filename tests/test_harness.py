@@ -193,6 +193,25 @@ class TestSpecParsing:
         with pytest.raises(ConfigError):
             ProblemSpec(kind="rosenbrock")
 
+    @pytest.mark.parametrize("kind,field", [("quadratic", dict(charges=12)),
+                                            ("quadratic", dict(degree=3)),
+                                            ("quadratic", dict(target_rule="alternating")),
+                                            ("vandermonde", dict(c=3.0)),
+                                            ("vandermonde", dict(charges=4)),
+                                            ("thomson", dict(u0=(1.0,))),
+                                            ("thomson", dict(degree=10))])
+    def test_foreign_problem_field_rejected(self, kind, field):
+        # rejected whatever its value, also when it equals another kind's default
+        name = next(iter(field))
+        with pytest.raises(ConfigError, match=f"^{name} is not a {kind} key$"):
+            ProblemSpec(kind=kind, **field)
+
+    def test_problem_defaults_per_kind(self):
+        assert ProblemSpec(kind="quadratic") == ProblemSpec(kind="quadratic", c=3.0)
+        vdm = ProblemSpec(kind="vandermonde")
+        assert (vdm.degree, vdm.target_rule, vdm.c, vdm.charges) == (10, "alternating", None, None)
+        assert ProblemSpec(kind="thomson").charges == 4
+
     @pytest.mark.parametrize("path", sorted(SPECS.glob("*.ini")), ids=lambda p: p.name)
     def test_shipped_spec_parses(self, path):
         spec = parse_spec_file(path)
