@@ -77,6 +77,8 @@ def step_count(t_end: float, h: float) -> int:
     if not (0 < h < t_end and math.isfinite(t_end / h)):
         raise SolverConfigError("h and t_end must satisfy 0 < h < t_end with t_end/h finite")
     n_steps = round(t_end / h)
+    if (n_steps + 1) * 8 > np.iinfo(np.intp).max:  # numpy's limit on a float64 array
+        raise SolverConfigError(f"t_end / h = {t_end / h:g} steps do not fit in a numpy array")
     if abs(n_steps * h - t_end) > 1e-9 * t_end:
         raise SolverConfigError(f"t_end = {t_end:g} is not a whole number of steps h = {h:g}")
     return n_steps
@@ -151,91 +153,64 @@ def solve_pece(problem: FdeProblem) -> Trajectory:
     evaluate), hence exactly 2 field evaluations per step plus the initial
     one.  Raises :class:`SolverDivergenceError` with the offending time if
     a state goes nonfinite.  A one-component state steps on Python floats,
-    with the bytes of the array loop.
+    with the bytes of the array steps.
     """
-    return _solve_pece(problem, _pece_floats if problem.u0.size == 1 else _pece_arrays)
+    return _solve_pece(problem, scalar=problem.u0.size == 1)
 
 
-def _solve_pece(problem: FdeProblem, loop) -> Trajectory:
-    """Grid, weights and the field at u0, then ``loop`` fills rows 1..N of
-    the states and of the field history."""
-    a = problem.alpha
-    h = problem.h
+def _solve_pece(problem: FdeProblem, scalar: bool) -> Trajectory:
+    """The PECE steps on state arrays, or with ``scalar`` on Python floats.
+
+    Floats do the arrays' IEEE operations in the same order, so they round
+    alike and skip a numpy call per operation; four adapters, chosen here
+    once, are the only difference.  The history sums are the same BLAS
+    dots either way, and the field always gets a fresh float64 array.
+    """
+    a, field, h = problem.alpha, problem.field, problem.h
     times = uniform_grid(problem.t_end, h)
     n_steps = times.size - 1
-    d = problem.u0.size
 
     b_rev, c_rev = _reversed_weights(a, n_steps)
     pred_scale = h**a / math.gamma(a + 1.0)
     corr_scale = h**a / math.gamma(a + 2.0)
 
-    states = np.empty((n_steps + 1, d))
-    f_hist = np.empty((n_steps + 1, d))
+    states = np.empty((n_steps + 1, problem.u0.size))
+    f_hist = np.empty_like(states)
     states[0] = problem.u0
-    f_hist[0] = problem.field(problem.u0)
+    f_hist[0] = field(problem.u0)
+
+    if scalar:
+        box, unbox, finite = (lambda u: np.array([u])), (lambda v: float(v[0])), math.isfinite
+    else:
+        box, unbox, finite = ((lambda u: u), (lambda v: np.asarray(v, dtype=float)),
+                              (lambda u: np.isfinite(u).all()))
+    u0 = seed = unbox(problem.u0)  # the Taylor seed at every t below order 1; u0 is read-only
+    v0 = unbox(problem.v0) if a > 1 else None
+    f0 = unbox(f_hist[0])
 
     # overflow on a diverging problem is expected and detected explicitly
     with np.errstate(over="ignore", invalid="ignore"):
-        loop(problem, times, b_rev, c_rev, pred_scale, corr_scale, states, f_hist)
+        for n in range(n_steps):
+            if a > 1:  # the Taylor seed u0 + t v0
+                seed = u0 + times.item(n + 1) * v0
+
+            # predictor: seed + h^a/G(a+1) * sum_j b[n-j] F_j
+            pred_sum = unbox(b_rev[n_steps - n - 1 :].dot(f_hist[: n + 1]))
+            f_pred = unbox(field(box(seed + pred_scale * pred_sum)))
+
+            # corrector: history term with the j = 0 weight handled separately
+            a0 = float(n) ** (a + 1.0) - (n - a) * (n + 1.0) ** a
+            corr_sum = a0 * f0
+            if n >= 1:
+                corr_sum = corr_sum + unbox(c_rev[n_steps - 1 - n :].dot(f_hist[1 : n + 1]))
+            u_next = seed + corr_scale * (corr_sum + f_pred)
+
+            if not finite(u_next):
+                raise SolverDivergenceError(times[n + 1])
+            states[n + 1] = u_next
+            f_hist[n + 1] = field(box(u_next))
     stats = TrajectoryStats(steps=n_steps, field_evaluations=1 + 2 * n_steps)
     return Trajectory(times=times, states=states, stats=stats)
-
-
-def _pece_arrays(problem, times, b_rev, c_rev, pred_scale, corr_scale, states, f_hist) -> None:
-    """The PECE steps on state arrays, for any dimension."""
-    a = problem.alpha
-    n_steps = times.size - 1
-    f0 = f_hist[0]
-    seed = problem.u0  # the Taylor seed at every t below order 1; u0 is read-only
-    for n in range(n_steps):
-        t_next = times[n + 1]
-        if a > 1:  # the Taylor seed u0 + t v0
-            seed = problem.u0 + t_next * problem.v0
-
-        # predictor: seed + h^a/G(a+1) * sum_j b[n-j] F_j
-        pred_sum = b_rev[n_steps - n - 1 :].dot(f_hist[: n + 1])
-        u_pred = seed + pred_scale * pred_sum
-        f_pred = np.asarray(problem.field(u_pred), dtype=float)
-
-        # corrector: history term with the j = 0 weight handled separately
-        a0 = float(n) ** (a + 1.0) - (n - a) * (n + 1.0) ** a
-        corr_sum = a0 * f0
-        if n >= 1:
-            corr_sum = corr_sum + c_rev[n_steps - 1 - n :].dot(f_hist[1 : n + 1])
-        u_next = seed + corr_scale * (corr_sum + f_pred)
-
-        if not np.isfinite(u_next).all():
-            raise SolverDivergenceError(t_next)
-        states[n + 1] = u_next
-        f_hist[n + 1] = problem.field(u_next)
-
-
-def _pece_floats(problem, times, b_rev, c_rev, pred_scale, corr_scale, states, f_hist) -> None:
-    """The PECE steps of a one-component state: :func:`_pece_arrays`'
-    operations in the same order on Python floats, which round alike and
-    skip a numpy call per operation.  The history sums are the same BLAS
-    dots, and the field still gets a fresh float64 array."""
-    a, field = problem.alpha, problem.field
-    n_steps = times.size - 1
-    u0 = seed = problem.u0.item()
-    f0 = f_hist.item(0)
-    for n in range(n_steps):
-        if a > 1:
-            seed = u0 + times.item(n + 1) * problem.v0.item()
-
-        pred_sum = float(b_rev[n_steps - n - 1 :].dot(f_hist[: n + 1])[0])
-        f_pred = float(field(np.array([seed + pred_scale * pred_sum]))[0])
-
-        a0 = float(n) ** (a + 1.0) - (n - a) * (n + 1.0) ** a
-        corr_sum = a0 * f0
-        if n >= 1:
-            corr_sum = corr_sum + float(c_rev[n_steps - 1 - n :].dot(f_hist[1 : n + 1])[0])
-        u_next = seed + corr_scale * (corr_sum + f_pred)
-
-        if not math.isfinite(u_next):
-            raise SolverDivergenceError(times[n + 1])
-        states[n + 1, 0] = u_next
-        f_hist[n + 1] = field(np.array([u_next]))
 
 
 # Dormand-Prince 5(4) (J. Comput. Appl. Math. 6 (1980) 19-26): stage weights A,

@@ -304,7 +304,10 @@ def run_experiment(
     if workers < 1:
         raise ConfigError(f"workers must be >= 1, got {workers}")
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot make output directory {str(out)!r}: {exc.strerror}") from None
 
     def run_and_write(lazy_map) -> list[list[SummaryRecord]]:
         runs = lazy_map(lambda m: _run_method(spec, m), spec.methods)

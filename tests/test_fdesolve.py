@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
 
 from fracopt import _selfcheck as sc
@@ -142,9 +144,9 @@ class TestPece:
 
 
 def _both_loops(problem):
-    """The solve by the one-component float loop and by the array loop."""
-    return (fdesolve._solve_pece(problem, fdesolve._pece_floats),
-            fdesolve._solve_pece(problem, fdesolve._pece_arrays))
+    """The solve on Python floats and on state arrays."""
+    return (fdesolve._solve_pece(problem, scalar=True),
+            fdesolve._solve_pece(problem, scalar=False))
 
 
 def _assert_same_bytes(floats, arrays):
@@ -178,9 +180,9 @@ class TestFloatLoop:
         prob = FdeProblem(alpha=0.9, field=lambda u: u * u, u0=np.array([4.0]),
                           t_end=50.0, h=0.5)
         times = []
-        for loop in (fdesolve._pece_floats, fdesolve._pece_arrays):
+        for scalar in (True, False):
             with pytest.raises(SolverDivergenceError) as err:
-                fdesolve._solve_pece(prob, loop)
+                fdesolve._solve_pece(prob, scalar=scalar)
             times.append((err.value.t, str(err.value)))
         assert times[0] == times[1]
 
@@ -195,15 +197,76 @@ class TestFloatLoop:
 
     def test_loop_chosen_by_state_size(self, monkeypatch):
         ran = []
-        for name in ("_pece_floats", "_pece_arrays"):
-            def spy(*args, _name=name, _loop=getattr(fdesolve, name)):
-                ran.append(_name)
-                return _loop(*args)
-            monkeypatch.setattr(fdesolve, name, spy)
+
+        def spy(problem, scalar, _solve=fdesolve._solve_pece):
+            ran.append(scalar)
+            return _solve(problem, scalar)
+        monkeypatch.setattr(fdesolve, "_solve_pece", spy)
         solve_pece(make_linear(0.9, t_end=1.0, h=0.1))
         solve_pece(FdeProblem(alpha=0.9, field=linear_field, u0=np.array([1.0, 2.0]),
                               t_end=1.0, h=0.1))
-        assert ran == ["_pece_floats", "_pece_arrays"]
+        assert ran == [True, False]
+
+    @settings(derandomize=True, database=None, deadline=None)
+    @given(alpha=st.floats(0.0, 2.0, exclude_min=True), steps=st.integers(2, 400),
+           h=st.floats(1e-3, 0.1), u0=st.floats(-5.0, 5.0), v0=st.floats(-2.0, 2.0),
+           field=st.sampled_from([linear_field, lambda u: -np.sin(u)]))
+    def test_same_bytes_property(self, alpha, steps, h, u0, v0, field):
+        prob = FdeProblem(alpha=alpha, field=field, u0=np.array([u0]), t_end=steps * h, h=h,
+                          v0=v0 if alpha > 1 else None)
+        outcomes = []
+        for scalar in (True, False):
+            try:
+                outcomes.append(fdesolve._solve_pece(prob, scalar=scalar))
+            except SolverDivergenceError as err:
+                outcomes.append(str(err))
+        if isinstance(outcomes[0], str):
+            assert outcomes[0] == outcomes[1]
+        else:
+            _assert_same_bytes(*outcomes)
+
+
+# Linear stability bound z*(alpha) of the scheme on D^a u = -lam u, found by
+# geometric bisection: after 4 000 steps the state decays iff lam h^a < z*.
+# z*(1) = 2 is the stability interval of Heun's method, which the scheme is at
+# order 1.
+STABILITY_BOUND = {0.5: 1.33, 0.9: 1.83, 1.0: 2.0, 1.5: 3.32, 2.0: 4.00}
+
+
+def _decay(alpha, lam, u0=(1.0,)):
+    """D^a u = -lam u on 4 000 steps of h = 1, so that lam h^a = lam."""
+    return FdeProblem(alpha=alpha, field=lambda u: -lam * u, u0=np.array(u0), t_end=4000.0,
+                      h=1.0, v0=0.0 if alpha > 1 else None)
+
+
+class TestSchemeContract:
+    """Where the discrete scheme is stable, and how fast it converges."""
+
+    @pytest.mark.parametrize("alpha", sorted(STABILITY_BOUND))
+    def test_linear_stability_bound(self, alpha):
+        z = STABILITY_BOUND[alpha]
+        assert abs(solve_pece(_decay(alpha, 0.95 * z)).states[-1, 0]) < 1.0
+        assert abs(solve_pece(_decay(alpha, 1.05 * z)).states[-1, 0]) > 1.0
+
+    def test_heun_bound_is_exact(self):
+        # at lam h = 2 Heun's amplification 1 - z + z^2/2 is exactly 1, and
+        # every weight, sum and state of the scheme is an exact integer
+        assert np.all(solve_pece(_decay(1.0, 2.0)).states == 1.0)
+
+    def test_linear_stability_bound_on_state_arrays(self):
+        lam = np.array([0.95, 1.05]) * STABILITY_BOUND[0.9]
+        last = solve_pece(_decay(0.9, lam, u0=(1.0, 1.0))).states[-1]
+        assert abs(last[0]) < 1.0 < abs(last[1])
+
+    @pytest.mark.parametrize("alpha", [0.6, 0.9, 1.2, 1.5, 1.8])
+    def test_observed_order_at_fixed_time(self, alpha):
+        # the figures' flow D^a u = -2(u - 3) from u = 1, against its closed form
+        # at t = 1.  Below order 1 the order 1 + a is sharp; above it, the error
+        # is O(h^2), and at t = 1 its h^(1 + a) term still shows (2.27 at a = 1.2)
+        exact = linear_relaxation_solution(alpha, 2.0, 3.0, 1.0, np.array([1.0]), v0=0.0)[0]
+        e1, e2 = (abs(solve_pece(make_linear(alpha, t_end=1.0, h=h)).states[-1, 0] - exact)
+                  for h in (0.01, 0.005))
+        assert min(2.0, 1.0 + alpha) - 0.1 <= math.log2(e1 / e2) <= 1.0 + alpha + 0.1
 
 
 class TestReferenceSolver:

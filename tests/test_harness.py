@@ -624,6 +624,29 @@ class TestCli:
                         f"alpha = 0.9\ngain = 1.0\nh = {h}\nt_end = {t_end}\n")
         assert main(["--out", str(tmp_path), "run", str(path)]) == EXIT_CONFIG
 
+    def test_horizon_beyond_numpy_arrays_is_config_error(self, tmp_path, capsys):
+        # 1e301 steps passed the whole-steps check, then numpy refused the grid
+        path = tmp_path / "big.ini"
+        path.write_text("[experiment]\nproblem = quadratic\n\n[method.f]\nmethod = fctm\n"
+                        "alpha = 0.9\ngain = 1.0\nh = 0.1\nt_end = 1e300\n")
+        assert main(["--out", str(tmp_path / "out"), "run", str(path)]) == EXIT_CONFIG
+        assert "steps do not fit in a numpy array" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_unusable_out_is_config_error(self, tmp_path, capsys, monkeypatch):
+        # an --out that is a file, or lies under one, is named before any cell runs
+        def no_cell(*args):
+            raise AssertionError("a cell ran")
+        monkeypatch.setattr(harness, "_run_method", no_cell)
+        taken = tmp_path / "taken"
+        taken.write_text("")
+        path = tmp_path / "demo.ini"
+        path.write_text(QUAD_SPEC_TEXT)
+        for out, command in ((taken, ["reproduce", "fig1"]), (taken / "sub", ["run", str(path)])):
+            assert main(["--out", str(out), *command]) == EXIT_CONFIG
+            assert (f"configuration error: cannot make output directory {str(out)!r}"
+                    in capsys.readouterr().err)
+
     @pytest.mark.parametrize("method", ["cgm", "fctm"])
     def test_trace_ends_exactly_at_horizon(self, tmp_path, method):
         # 0.1 * 7 rounds to 0.7000000000000001, which the adaptive solver rejected
