@@ -8,6 +8,8 @@ if it holds ``,``, ``"``, CR or LF.  Array rows must arrive through
 
 from __future__ import annotations
 
+from .errors import ConfigError
+
 
 def _cell(value) -> str:
     if value is None:
@@ -21,8 +23,13 @@ def _cell(value) -> str:
 
 def write_csv(path, header, rows, note: str | None = None) -> None:
     """Write an optional ``# note`` line, the header row and ``rows`` with
-    LF line endings."""
-    with open(path, "w", newline="\n") as fh:
+    LF line endings.  A path that cannot be opened for writing raises
+    :class:`ConfigError`."""
+    try:
+        fh = open(path, "w", newline="\n")
+    except OSError as exc:
+        raise ConfigError(f"cannot write {str(path)!r}: {exc.strerror}") from None
+    with fh:
         if note:
             fh.write(f"# {note}\n")
         fh.write(",".join(header) + "\n")

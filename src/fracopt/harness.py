@@ -27,7 +27,6 @@ from .errors import ConfigError, FracoptError
 from .fracops import MemoryWindow
 from .optimizers import (
     _PARAMETERS,
-    EnergyTrace,
     Method,
     OptimizerConfig,
     RunResult,
@@ -508,9 +507,10 @@ def _reproduce_fig4(out: Path, seed: int, workers: int):
         # completed cells only, in order of alpha, as listed; a diverged
         # cell's summary row says why it is missing
         diff = result.trace.states - 3.0
-        energy = EnergyTrace(times=result.trace.times, energies=np.sum(diff * diff, axis=1))
-        energy.to_csv(out / f"fig4__energy__{label}.csv")
-        census_rows.append((label, alpha_of[label], oscillation_census(energy)))
+        energies = np.sum(diff * diff, axis=1)
+        write_csv(out / f"fig4__energy__{label}.csv", ["t", "V"],
+                  zip(result.trace.times.tolist(), energies.tolist()))
+        census_rows.append((label, alpha_of[label], oscillation_census(energies)))
 
     records, code = run_experiment(_quadratic_spec("fig4", methods, seed), out, workers,
                                    on_result=energy_trace)
@@ -569,8 +569,9 @@ def _table2_best(n: int, methods: tuple[MethodSpec, ...], records: list[SummaryR
                      sum(r.field_evaluations for r in group)))
         if mspec.cfg.method is Method.FCTM:
             # final geometry of the best fractional run, for external viewing
-            ThomsonSpec(n).to_csv(geometry[mspec.label, best.restart],
-                                  out / f"table2__geometry_n{n}.csv")
+            xyz = ThomsonSpec(n).cartesian(geometry[mspec.label, best.restart])
+            write_csv(out / f"table2__geometry_n{n}.csv", ["i", "x", "y", "z"],
+                      ([i, *row] for i, row in enumerate(xyz.tolist())))
     return rows
 
 

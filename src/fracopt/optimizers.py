@@ -48,9 +48,7 @@ __all__ = [
     "StoppingRule",
     "DiscreteTrace",
     "RunResult",
-    "EnergyTrace",
     "run_gdm",
-    "run_fgdm",
     "run_fctm",
     "run_restarts",
     "stability_envelope_check",
@@ -425,24 +423,6 @@ def run_gdm(
     return run_restarts(objective, u0, cfg, stop)[0]
 
 
-def run_fgdm(
-    objective: Objective,
-    u0: float,
-    cfg: OptimizerConfig,
-    stop: StoppingRule = StoppingRule(),
-) -> RunResult:
-    """Fractional-gradient descent on a scalar polynomial objective (the
-    quadratic).
-
-    The update direction is the configured fractional derivative of f, so
-    the iteration settles on the operator's zero, which for alpha < 1 is
-    not the extremum of f.
-    """
-    if cfg.method is not Method.FGDM:
-        raise ConfigError("run_fgdm requires an fgdm configuration")
-    return run_restarts(objective, u0, cfg, stop)[0]
-
-
 def run_fctm(
     objective: Objective,
     u0: np.ndarray,
@@ -460,31 +440,15 @@ def run_fctm(
     return run_restarts(objective, u0, cfg, stop)[0]
 
 
-@dataclass(frozen=True)
-class EnergyTrace:
-    """Squared distance to the optimum along a trajectory."""
-
-    times: np.ndarray
-    energies: np.ndarray
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "times", np.ascontiguousarray(self.times, dtype=float))
-        object.__setattr__(self, "energies", np.ascontiguousarray(self.energies, dtype=float))
-        self.times.flags.writeable = False
-        self.energies.flags.writeable = False
-
-    def to_csv(self, path) -> None:
-        write_csv(path, ["t", "V"], zip(self.times.tolist(), self.energies.tolist()))
-
-
 def stability_envelope_check(
     trace: Trajectory,
     u_star: np.ndarray,
     eta: float,
     alpha: float,
     slack: float = 1e-6,
-) -> tuple[EnergyTrace, bool]:
-    """Check V(t) <= V(0) E_{alpha,1}(-eta t^alpha) + slack on the grid.
+) -> tuple[np.ndarray, bool]:
+    """Check V(t) <= V(0) E_{alpha,1}(-eta t^alpha) + slack on the grid;
+    returns V on the grid and whether the envelope held.
 
     V(t) = ||u(t) - u*||^2 with eta the strong-convexity constant.  The
     envelope holds for orders in (0, 1]; larger orders raise
@@ -499,18 +463,16 @@ def stability_envelope_check(
     u_star = np.atleast_1d(np.asarray(u_star, dtype=float))
     diff = trace.states - u_star[None, :]
     energies = np.sum(diff * diff, axis=1)
-    energy = EnergyTrace(times=trace.times, energies=energies)
     v0 = float(energies[0])
     if v0 == 0.0:
-        return energy, bool(np.all(energies <= slack))
+        return energies, bool(np.all(energies <= slack))
     envelope = mittag_leffler(alpha, 1.0, -eta * trace.times**alpha)
-    ok = bool(np.all(energies <= v0 * envelope + slack))
-    return energy, ok
+    return energies, bool(np.all(energies <= v0 * envelope + slack))
 
 
-def oscillation_census(energy: EnergyTrace) -> int:
-    """Number of strict local minima of V over the grid interior."""
-    v = energy.energies
+def oscillation_census(v: np.ndarray) -> int:
+    """Number of strict local minima of the energies ``v`` over the grid
+    interior."""
     if v.size < 3:
         return 0
     interior = (v[1:-1] < v[:-2]) & (v[1:-1] < v[2:])

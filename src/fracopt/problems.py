@@ -15,7 +15,6 @@ from typing import Callable
 
 import numpy as np
 
-from ._csvfile import write_csv
 from .errors import SampleRetryError, SingularPairError
 from .fracops import Polynomial
 
@@ -190,11 +189,6 @@ class ThomsonSpec:
         return np.column_stack(
             (sin_phi * np.cos(theta), sin_phi * np.sin(theta), np.cos(phi))
         )
-
-    def to_csv(self, u: np.ndarray, path) -> None:
-        """Write final Cartesian coordinates as `i,x,y,z` rows."""
-        write_csv(path, ["i", "x", "y", "z"],
-                  ([i, *row] for i, row in enumerate(self.cartesian(u).tolist())))
 
 
 def make_thomson(n_charges: int) -> tuple[Objective, ThomsonSpec]:

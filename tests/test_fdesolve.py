@@ -268,6 +268,44 @@ class TestSchemeContract:
                   for h in (0.01, 0.005))
         assert min(2.0, 1.0 + alpha) - 0.1 <= math.log2(e1 / e2) <= 1.0 + alpha + 0.1
 
+    # Pinned as measured, to 1e-3 relative, so that a change of the scheme
+    # shows.  Protocol: D^0.3 u = -2(u - 3) from u = 0 on [0, 2] at
+    # h = 0.02, 0.01 and 0.005, against the closed form on every grid point.
+    @staticmethod
+    def _low_order_errors(h):
+        traj = solve_pece(make_linear(0.3, t_end=2.0, h=h, u0=0.0))
+        exact = linear_relaxation_solution(0.3, 2.0, 3.0, 0.0, traj.times)
+        return np.abs(traj.states[:, 0] - exact)
+
+    def test_first_step_error_at_low_order(self):
+        # the start singularity t^0.3 puts the largest error at t = h, and
+        # that error is only first order in h
+        errors = [self._low_order_errors(h) for h in (0.02, 0.01, 0.005)]
+        assert [int(np.argmax(e)) for e in errors] == [1, 1, 1]
+        assert [e[1] for e in errors] == pytest.approx([0.28764, 0.14925, 0.073697], rel=1e-3)
+
+    def test_pre_asymptotic_order_at_low_order(self):
+        # at t = 2 the observed orders read 1.64 and 1.54, above the
+        # asymptotic 1 + a = 1.3 (Diethelm, Ford and Freed, Numer. Algorithms
+        # 36 (2004) 31-52)
+        errors = [self._low_order_errors(h)[-1] for h in (0.02, 0.01, 0.005)]
+        assert errors == pytest.approx([9.4498e-4, 3.0354e-4, 1.0445e-4], rel=1e-3)
+        orders = [math.log2(e1 / e2) for e1, e2 in zip(errors, errors[1:])]
+        assert orders == pytest.approx([1.64, 1.54], abs=0.01)
+
+    def test_order_two_is_second_order_without_damping(self):
+        # D^2 u = -0.2 u, u(0) = 1, u'(0) = 0 on [0, 40] (2.8 periods), against
+        # cos(sqrt(0.2) t) on every grid point: a tenth of the step gives a
+        # hundredth of the largest error, and at h = 0.01 the amplitude is
+        # kept to 1.5e-5, so the decay at order 2 in fig3/fig4 is the flow's
+        errors = []
+        for h in (0.1, 0.01):
+            traj = solve_pece(FdeProblem(alpha=2.0, field=lambda u: -0.2 * u, u0=np.array([1.0]),
+                                         t_end=40.0, h=h, v0=0.0))
+            errors.append(np.max(np.abs(traj.states[:, 0] - np.cos(math.sqrt(0.2) * traj.times))))
+        assert errors == pytest.approx([1.4502e-3, 1.4430e-5], rel=1e-3)
+        assert math.log10(errors[0] / errors[1]) == pytest.approx(2.0, abs=0.01)
+
 
 class TestReferenceSolver:
     def test_point_value(self):

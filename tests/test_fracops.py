@@ -8,15 +8,7 @@ from scipy.optimize import brentq
 
 from fracopt import _selfcheck as sc
 from fracopt.errors import OperatorDomainError
-from fracopt.fracops import (
-    MemoryWindow,
-    Polynomial,
-    caputo_poly_derivative,
-    caputo_taylor_series,
-    gl_derivative,
-    gl_weights,
-    rl_poly_derivative,
-)
+from fracopt.fracops import MemoryWindow, Polynomial, caputo_poly_derivative, rl_poly_derivative
 from fracopt.specfun import gamma
 
 QUAD = Polynomial((1.0, -6.0, 9.0))  # (u - 3)^2
@@ -38,10 +30,6 @@ class TestPolynomial:
             direct = sum(bj * (u - a) ** j for j, bj in enumerate(b))
             assert direct == pytest.approx(p(u), abs=1e-10, rel=1e-10)
 
-    def test_derivative(self):
-        assert QUAD.derivative().coefficients == (2.0, -6.0)
-        assert Polynomial((7.0,)).derivative().coefficients == (0.0,)
-
 
 class TestMemoryWindow:
     def test_effective_limit(self):
@@ -61,43 +49,23 @@ class TestMemoryWindow:
 class TestGrunwaldLetnikov:
     def test_weights_match_binomial_definition(self):
         alpha = 0.6
-        w = gl_weights(alpha, 6)
+        w = sc._gl_weights(alpha, 6)
         for k in range(7):
             ref = (-1) ** k * gamma(alpha + 1) / (gamma(k + 1) * gamma(alpha - k + 1))
             assert w[k] == pytest.approx(ref, abs=1e-14)
 
     def test_first_derivative_of_identity(self):
-        w = MemoryWindow(lower_limit=0.0)
-        assert gl_derivative(lambda x: x, 1.0, 2.0, w, 1e-5) == pytest.approx(1.0, abs=1e-4)
+        assert sc._gl_derivative(lambda x: x, 1.0, 2.0, 0.0, 1e-5) == pytest.approx(1.0, abs=1e-4)
 
     def test_half_derivative_of_square(self):
         # power rule oracle: Gamma(3)/Gamma(2.5) * u^1.5 at u = 1
         expected = gamma(3.0) / gamma(2.5)
-        w = MemoryWindow(lower_limit=0.0)
-        assert gl_derivative(lambda x: x * x, 0.5, 1.0, w, 1e-5) == pytest.approx(
+        assert sc._gl_derivative(lambda x: x * x, 0.5, 1.0, 0.0, 1e-5) == pytest.approx(
             expected, abs=1e-3
         )
 
     def test_order_zero_returns_input(self):
-        w = MemoryWindow(lower_limit=0.0)
-        assert gl_derivative(np.sin, 0.0, 3.0, w, 1e-5) == math.sin(3.0)
-
-    def test_domain_error(self):
-        w = MemoryWindow(lower_limit=2.0)
-        with pytest.raises(OperatorDomainError):
-            gl_derivative(lambda x: x, 0.5, 2.0, w, 1e-3)
-
-    def test_nonfinite_sample_propagates(self):
-        w = MemoryWindow(lower_limit=0.0)
-        with pytest.raises(OperatorDomainError):
-            gl_derivative(lambda x: np.where(x < 0.3, np.inf, x), 0.5, 1.0, w, 0.25)
-
-    def test_step_validation(self):
-        # the mesh is the sum's own: a finite step > 0, no longer than a finite memory
-        with pytest.raises(ValueError):
-            gl_derivative(lambda x: x, 0.5, 1.0, MemoryWindow(), 0.0)
-        with pytest.raises(ValueError):
-            gl_derivative(lambda x: x, 0.5, 1.0, MemoryWindow(memory_length=1e-4), 1e-3)
+        assert sc._gl_derivative(np.sin, 0.0, 3.0, 0.0, 1e-5) == math.sin(3.0)
 
 
 class TestClosedFormRules:
@@ -142,31 +110,14 @@ class TestClosedFormRules:
 
 
 class TestCaputoTaylorSeries:
-    DERIVS = (lambda u: 2.0 * (u - 3.0), lambda u: 2.0)
-
     def test_matches_closed_form_at_equilibrium(self):
-        value = caputo_taylor_series(self.DERIVS, 0.9, 3.3, 0.0, truncation=2)
-        assert value == pytest.approx(0.0, abs=1e-10)
+        assert sc._caputo_series(QUAD, 0.9, 3.3, 0.0) == pytest.approx(0.0, abs=1e-10)
 
     def test_matches_closed_form_short_window(self):
         a = 3.005 - 0.01
-        value = caputo_taylor_series(self.DERIVS, 0.5, 3.005, a, truncation=2)
+        value = sc._caputo_series(QUAD, 0.5, 3.005, a)
         ref = caputo_poly_derivative(QUAD, 0.5, 3.005, a)
         assert value == pytest.approx(ref, abs=1e-6)
-
-    def test_truncation_beyond_degree_adds_zero(self):
-        derivs = self.DERIVS + (lambda u: 0.0, lambda u: 0.0)
-        short = caputo_taylor_series(derivs, 0.7, 2.0, 0.5, truncation=2)
-        long = caputo_taylor_series(derivs, 0.7, 2.0, 0.5, truncation=4)
-        assert short == long
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            caputo_taylor_series(self.DERIVS, 1.5, 2.0, 0.0, truncation=2)
-        with pytest.raises(ValueError):
-            caputo_taylor_series(self.DERIVS, 0.5, 2.0, 0.0, truncation=0)
-        with pytest.raises(OperatorDomainError):
-            caputo_taylor_series(self.DERIVS, 0.5, 0.5, 1.0, truncation=2)
 
 
 class TestOperatorProperties:

@@ -647,6 +647,17 @@ class TestCli:
             assert (f"configuration error: cannot make output directory {str(out)!r}"
                     in capsys.readouterr().err)
 
+    def test_output_path_taken_by_directory_is_config_error(self, tmp_path, capsys):
+        # the summary's path was a directory: IsADirectoryError after the cells ran
+        path = tmp_path / "tiny.ini"
+        path.write_text("[experiment]\nname = tiny\nproblem = quadratic\n\n"
+                        "[method.gdm]\nmethod = gdm\nomega = 0.1\nk_max = 5\n")
+        summary = tmp_path / "o" / "tiny__summary.csv"
+        summary.mkdir(parents=True)
+        assert main(["--out", str(tmp_path / "o"), "run", str(path)]) == EXIT_CONFIG
+        assert (f"configuration error: cannot write {str(summary)!r}: Is a directory"
+                in capsys.readouterr().err)
+
     @pytest.mark.parametrize("method", ["cgm", "fctm"])
     def test_trace_ends_exactly_at_horizon(self, tmp_path, method):
         # 0.1 * 7 rounds to 0.7000000000000001, which the adaptive solver rejected
@@ -764,3 +775,6 @@ class TestTypedFailures:
                 (tmp_path / "table2__best.csv").read_text().splitlines()[2:]]
         assert [r[5] for r in rows if r[1] == "fctm-a0.7"] == ["1"] * 4
         assert all((tmp_path / f"table2__geometry_n{n}.csv").exists() for n in (4, 5, 6, 12))
+        lines = (tmp_path / "table2__geometry_n4.csv").read_text().splitlines()
+        assert lines[0] == "i,x,y,z"
+        assert len(lines) == 5

@@ -16,14 +16,12 @@ from fracopt.errors import (
 from fracopt.fdesolve import linear_relaxation_solution
 from fracopt.fracops import MemoryWindow
 from fracopt.optimizers import (
-    EnergyTrace,
     Method,
     OptimizerConfig,
     StoppingRule,
     first_passages,
     oscillation_census,
     run_fctm,
-    run_fgdm,
     run_gdm,
     run_restarts,
     stability_envelope_check,
@@ -169,7 +167,7 @@ class TestFgdm:
     def test_order_one_reduces_to_gdm(self):
         cfg = OptimizerConfig(method=Method.FGDM, alpha=1.0, omega=0.05,
                               fgdm_operator="caputo", window=FIXED_WINDOW)
-        res = run_fgdm(QUAD, 1.0, cfg, StoppingRule(k_max=5000))
+        res = run_restarts(QUAD, 1.0, cfg, StoppingRule(k_max=5000))[0]
         assert res.converged_to[0] == pytest.approx(3.0, abs=1e-8)
 
     def test_windowed_caputo_lands_near_extremum(self):
@@ -177,7 +175,7 @@ class TestFgdm:
         window = MemoryWindow(lower_limit=0.0, memory_length=h)
         cfg = OptimizerConfig(method=Method.FGDM, alpha=0.9, omega=0.05,
                               fgdm_operator="caputo", window=window)
-        res = run_fgdm(QUAD, 1.0, cfg, StoppingRule(k_max=20000))
+        res = run_restarts(QUAD, 1.0, cfg, StoppingRule(k_max=20000))[0]
         expected = 3.0 + h * (1.0 - 0.9) / (2.0 - 0.9)
         assert res.converged_to[0] == pytest.approx(expected, abs=5e-4)
 
@@ -191,7 +189,7 @@ class TestFgdm:
         cfg = OptimizerConfig(method=Method.FGDM, alpha=0.9, omega=0.5,
                               fgdm_operator="rl", window=FIXED_WINDOW)
         with pytest.raises(OperatorDomainError) as err:
-            run_fgdm(QUAD, 0.1, cfg, StoppingRule(k_max=100))
+            run_restarts(QUAD, 0.1, cfg, StoppingRule(k_max=100))
         assert "iteration" in str(err.value)
 
     def test_objective_without_polynomial_rejected(self):
@@ -205,14 +203,14 @@ class TestFgdm:
         cfg = OptimizerConfig(method=Method.FGDM, alpha=0.9, omega=0.05,
                               fgdm_operator="caputo", window=FIXED_WINDOW)
         with pytest.raises(ConfigError, match="polynomial"):
-            run_fgdm(sampled, 1.0, cfg)
+            run_restarts(sampled, 1.0, cfg)
 
     def test_scalar_only(self):
         obj, _ = make_vandermonde(3)
         cfg = OptimizerConfig(method=Method.FGDM, alpha=0.9, omega=0.05,
                               fgdm_operator="caputo", window=FIXED_WINDOW)
         with pytest.raises(ConfigError, match="polynomial"):
-            run_fgdm(obj, 1.0, cfg)
+            run_restarts(obj, 1.0, cfg)
 
 
 class TestFctm:
@@ -342,17 +340,17 @@ class TestRestarts:
         for u0, res in zip(starts, run_restarts(QUAD, starts, cgm, stop)):
             assert_same_run(res, run_fctm(QUAD, u0, cgm, stop))
         for u0, res in zip(starts, run_restarts(QUAD, starts, fgdm, stop)):
-            assert_same_run(res, run_fgdm(QUAD, float(u0[0]), fgdm, stop))
+            assert_same_run(res, run_restarts(QUAD, float(u0[0]), fgdm, stop)[0])
 
 
 class TestStabilityEnvelope:
     @pytest.mark.parametrize("alpha", [0.3, 0.7, 1.0])
     def test_quadratic_flow_within_envelope(self, alpha):
         res = run_fctm(QUAD, np.array([1.0]), fctm_cfg(alpha, h=1e-2, t_end=10.0))
-        energy, ok = stability_envelope_check(res.trace, np.array([3.0]), eta=2.0, alpha=alpha)
+        energies, ok = stability_envelope_check(res.trace, np.array([3.0]), eta=2.0, alpha=alpha)
         assert ok
-        assert np.all(energy.energies >= 0.0)
-        assert energy.energies[0] == 4.0
+        assert np.all(energies >= 0.0)
+        assert energies[0] == 4.0
 
     def test_start_at_optimum(self):
         res = run_fctm(QUAD, np.array([3.0]), fctm_cfg(0.7, h=1e-2, t_end=1.0))
@@ -378,16 +376,13 @@ class TestStabilityEnvelope:
 class TestOscillationCensus:
     def test_monotone_regime_has_none(self):
         res = run_fctm(QUAD, np.array([1.0]), fctm_cfg(0.7, h=1e-2, t_end=20.0))
-        energy, _ = stability_envelope_check(res.trace, np.array([3.0]), eta=2.0, alpha=0.7)
-        assert oscillation_census(energy) == 0
+        energies, _ = stability_envelope_check(res.trace, np.array([3.0]), eta=2.0, alpha=0.7)
+        assert oscillation_census(energies) == 0
 
     def test_oscillatory_regime_has_some(self):
         res = run_fctm(QUAD, np.array([1.0]), fctm_cfg(1.5, h=1e-2, t_end=20.0))
         diff = res.trace.states - 3.0
-        energy = EnergyTrace(times=res.trace.times,
-                             energies=np.sum(diff * diff, axis=1))
-        assert oscillation_census(energy) >= 1
+        assert oscillation_census(np.sum(diff * diff, axis=1)) >= 1
 
     def test_constant_trace(self):
-        energy = EnergyTrace(times=np.arange(5.0), energies=np.ones(5))
-        assert oscillation_census(energy) == 0
+        assert oscillation_census(np.ones(5)) == 0

@@ -202,15 +202,6 @@ class TestThomson:
             assert result.final_metric >= ref - 1e-6
             assert float(np.min(result.iterations.costs)) >= ref - 1e-6
 
-    def test_geometry_csv(self, tmp_path):
-        _, spec = make_thomson(2)
-        u = np.array([0.0, 0.0, 0.0, math.pi])
-        path = tmp_path / "geom.csv"
-        spec.to_csv(u, path)
-        lines = path.read_text().splitlines()
-        assert lines[0] == "i,x,y,z"
-        assert len(lines) == 3
-
 
 class TestSphereSampler:
     def test_deterministic(self):
