@@ -7,6 +7,7 @@ import pytest
 
 from fracopt import _selfcheck as sc
 from fracopt import problems
+from fracopt._csvfile import write_csv
 from fracopt.errors import SampleRetryError, SingularPairError
 from fracopt.optimizers import Method, OptimizerConfig, StoppingRule, run_gdm
 from fracopt.problems import (
@@ -201,6 +202,18 @@ class TestThomson:
             result = run_gdm(obj, u0, cfg, StoppingRule(k_max=2000))
             assert result.final_metric >= ref - 1e-6
             assert float(np.min(result.iterations.costs)) >= ref - 1e-6
+
+    def test_geometry_csv(self, tmp_path):
+        # the table-2 geometry file: one Cartesian row per charge
+        _, spec = make_thomson(2)
+        u = np.array([0.0, 0.0, 0.0, math.pi])
+        xyz = spec.cartesian(u)
+        np.testing.assert_allclose(xyz, [[0.0, 0.0, 1.0], [0.0, 0.0, -1.0]], atol=1e-15)
+        path = tmp_path / "geom.csv"
+        write_csv(path, ["i", "x", "y", "z"], ([i, *row] for i, row in enumerate(xyz.tolist())))
+        lines = path.read_text().splitlines()
+        assert lines[0] == "i,x,y,z"
+        assert len(lines) == 3
 
 
 class TestSphereSampler:
