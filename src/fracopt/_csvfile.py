@@ -10,6 +10,8 @@ from __future__ import annotations
 
 from .errors import ConfigError
 
+_NUMBERS = {int, float, bool}  # the cells _cell writes as their repr
+
 
 def _cell(value) -> str:
     if value is None:
@@ -34,4 +36,4 @@ def write_csv(path, header, rows, note: str | None = None) -> None:
             fh.write(f"# {note}\n")
         fh.write(",".join(header) + "\n")
         for row in rows:
-            fh.write(",".join(map(_cell, row)) + "\n")
+            fh.write(",".join(map(repr if set(map(type, row)) <= _NUMBERS else _cell, row)) + "\n")

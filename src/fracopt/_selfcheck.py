@@ -1,9 +1,9 @@
 """The library's numerical invariants, each written once.
 
-One function per invariant: it takes its cases and returns the worst
-error over them.  One constant per bound.  ``fracopt check`` runs small
-cases of every invariant; the acceptance criteria and the unit tests run
-larger ones against the same bounds, so a comparison or a bound cannot
+One function per invariant, returning the worst error over its cases (NaN
+if any case gives NaN), and one constant per bound.  ``fracopt check`` runs
+small cases of every invariant; the acceptance criteria and the unit tests
+run larger ones against the same bounds, so a comparison or a bound cannot
 differ between the two.  The Grunwald-Letnikov sum and the Caputo Taylor
 series are oracles of these checks only, so they live here.
 """
@@ -38,7 +38,7 @@ PolynomialCase = tuple[Polynomial, float, float, float]
 
 def gamma_recurrence_error(xs: Iterable[float]) -> float:
     """Worst relative error of Gamma(x + 1) = x Gamma(x)."""
-    return max(abs(gamma(x + 1.0) - x * gamma(x)) / gamma(x + 1.0) for x in xs)
+    return float(np.max([abs(gamma(x + 1.0) - x * gamma(x)) / gamma(x + 1.0) for x in xs]))
 
 
 def ml_exp_error(ts: np.ndarray) -> float:
@@ -95,15 +95,15 @@ def _caputo_series(p: Polynomial, alpha: float, u: float, a: float) -> float:
 def gl_power_rule_error(cases: Iterable[PolynomialCase]) -> float:
     """Worst error of the Grunwald-Letnikov sum (mesh 1e-5) against the
     Riemann-Liouville power rule."""
-    return max(abs(_gl_derivative(p, alpha, u, a, 1e-5) - rl_poly_derivative(p, alpha, u, a))
-               for p, alpha, u, a in cases)
+    return float(np.max([abs(_gl_derivative(p, alpha, u, a, 1e-5) - rl_poly_derivative(
+        p, alpha, u, a)) for p, alpha, u, a in cases]))
 
 
 def caputo_series_error(cases: Iterable[PolynomialCase]) -> float:
     """Worst error of the Caputo Taylor series against the Caputo closed
     form."""
-    return max(abs(_caputo_series(p, alpha, u, a) - caputo_poly_derivative(p, alpha, u, a))
-               for p, alpha, u, a in cases)
+    return float(np.max([abs(_caputo_series(p, alpha, u, a) - caputo_poly_derivative(
+        p, alpha, u, a)) for p, alpha, u, a in cases]))
 
 
 def _relaxation(alpha: float, t_end: float) -> FdeProblem:
@@ -141,12 +141,12 @@ def fgdm_shift_error(alpha: float, k_max: int) -> float:
 def gradient_error(objective: Objective, points: Iterable[np.ndarray]) -> float:
     """Worst relative error of the analytic gradient against central
     differences at step 1e-6 (1 + |u|)."""
-    worst = 0.0
+    errors = []
     for u in points:
         u = np.asarray(u, dtype=float)
         step = 1e-6 * (1.0 + np.linalg.norm(u))
         fd = np.array([objective.f(u + e) - objective.f(u - e) for e in step * np.eye(u.size)])
         fd /= 2.0 * step
         g = objective.gradient(u)
-        worst = max(worst, float(np.linalg.norm(g - fd) / max(np.linalg.norm(g), 1e-300)))
-    return worst
+        errors.append(np.linalg.norm(g - fd) / max(np.linalg.norm(g), 1e-300))
+    return float(np.max(errors))

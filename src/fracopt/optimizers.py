@@ -32,6 +32,7 @@ import numpy as np
 from ._csvfile import write_csv
 from .errors import (
     ConfigError,
+    FracoptError,
     IterationDivergenceError,
     OperatorDomainError,
     OrderRangeError,
@@ -228,8 +229,10 @@ def _wrap_result(
     else:
         trace, iterations = None, history
         times, states = np.arange(len(history), dtype=float), history.iterates
-    metrics = np.concatenate([objective.metric(states[i:i + _METRIC_CHUNK])
-                              for i in range(0, len(states), _METRIC_CHUNK)])
+    reuse = iterations is not None and objective.progress_metric is objective.f
+    metrics = iterations.costs if reuse else np.concatenate(
+        [objective.metric(states[i:i + _METRIC_CHUNK])
+         for i in range(0, len(states), _METRIC_CHUNK)])
     passages = first_passages(times, metrics, stop.thresholds)
     # a run that never reached epsilon reports the best state it saw
     converged = stop.epsilon is None or bool(np.any(metrics < stop.epsilon))
@@ -256,25 +259,19 @@ def _descend(
 
     ``step(k, u)`` takes the running states and returns their next iterates
     (a new array) and whether the rule has settled.  One start runs as a
-    (d,) state, several as a stack of the rows that still run.
+    (d,) state, several as a stack of the rows that still run.  The costs
+    are taken when the run ends, from the stored iterates.
     """
     t0 = time.perf_counter()
     k_max = stop.k_max if stop.k_max is not None else _DEFAULT_K_MAX
     n_rows, d = starts.shape
     # row-major per start, so each row's trace is a contiguous view; the
-    # buffers double as the run goes, so an early stop never pays for k_max
+    # buffer doubles as the run goes, so an early stop never pays for k_max
     iterates = np.empty((n_rows, min(k_max, 255) + 1, d))
-    costs = np.empty((n_rows, iterates.shape[1]))
     last = np.full(n_rows, k_max)  # index of each row's final iterate
     rows = np.arange(n_rows)  # the rows still running
     u = starts[0] if n_rows == 1 else starts
     iterates[:, 0] = starts
-    costs[:, 0] = objective.f(u)
-
-    def grown(buffer: np.ndarray) -> np.ndarray:
-        out = np.empty((n_rows, min(2 * buffer.shape[1], k_max + 1), *buffer.shape[2:]))
-        out[:, :buffer.shape[1]] = buffer
-        return out
 
     def retire(done, at: int):
         """Drop the rows that stop at iterate ``at``; False once none runs."""
@@ -287,25 +284,35 @@ def _descend(
                 u = u[~done]
         return rows.size > 0
 
+    failure = None
     # overflow on a diverging run is expected and detected explicitly
     with np.errstate(over="ignore", invalid="ignore"):
-        for k in range(k_max):
-            if stop.epsilon is not None and not retire(objective.metric(u) < stop.epsilon, k):
-                break
-            u, settled = step(k, u)
-            fk = objective.f(u)
-            if not (np.isfinite(u).all() and np.isfinite(fk).all()):
-                raise IterationDivergenceError(k + 1)
-            if k + 1 == costs.shape[1]:
-                iterates, costs = grown(iterates), grown(costs)
-            iterates[rows, k + 1] = u
-            costs[rows, k + 1] = fk
-            if settled and not retire(settled, k + 1):
-                break
+        try:
+            for k in range(k_max):
+                if stop.epsilon is not None and not retire(objective.metric(u) < stop.epsilon, k):
+                    break
+                u, settled = step(k, u)
+                if not np.isfinite(u).all():
+                    raise IterationDivergenceError(k + 1)
+                if k + 1 == iterates.shape[1]:
+                    iterates = np.concatenate(
+                        (iterates, np.empty((n_rows, min(k + 1, k_max - k), d))), axis=1)
+                iterates[rows, k + 1] = u
+                if settled and not retire(settled, k + 1):
+                    break
+        except FracoptError as exc:
+            last[rows], failure = k, exc
+        costs = [np.concatenate([objective.f(iterates[i, j:min(j + _METRIC_CHUNK, e + 1)])
+                                 for j in range(0, e + 1, _METRIC_CHUNK)])
+                 for i, e in enumerate(last)]
+    # a cost that overflowed at a finite state, before any failure, comes first
+    first = min((j for c in costs for j in np.flatnonzero(~np.isfinite(c)) if j), default=0)
+    if first or failure:
+        raise IterationDivergenceError(int(first)) if first else failure
     wall = (time.perf_counter() - t0) / n_rows  # an equal share per row
     # one step per iterate after the start
     return [_wrap_result(objective, stop,
-                         DiscreteTrace(iterates=iterates[i, :e + 1], costs=costs[i, :e + 1]),
+                         DiscreteTrace(iterates=iterates[i, :e + 1], costs=costs[i]),
                          int(e), wall)
             for i, e in enumerate(last)]
 

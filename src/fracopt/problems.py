@@ -206,7 +206,6 @@ def make_thomson(n_charges: int) -> tuple[Objective, ThomsonSpec]:
     spec = ThomsonSpec(charges=n_charges)
     n = n_charges
     iu0, iu1 = np.triu_indices(n, k=1)
-    diag = np.arange(n)
 
     def _geometry(u: np.ndarray):
         u = np.asarray(u, dtype=float)
@@ -217,25 +216,27 @@ def make_thomson(n_charges: int) -> tuple[Objective, ThomsonSpec]:
         sin_sin = sin_phi[..., None] * sin_phi[..., None, :]
         dot = sin_sin * cos_dth + cos_phi[..., None] * cos_phi[..., None, :]
         dist = np.sqrt(np.maximum(2.0 - 2.0 * dot, 0.0))
+        return sin_phi, cos_phi, dth, cos_dth, sin_sin, dist
+
+    def f(u: np.ndarray) -> float | np.ndarray:
         # a contiguous copy, so each row is summed by numpy's pairwise rule
         # exactly as a single state's pairs are
-        pairs = np.ascontiguousarray(dist[..., iu0, iu1])
+        pairs = np.ascontiguousarray(_geometry(u)[-1][..., iu0, iu1])
         small = pairs < _COINCIDENCE_TOL
         if small.any():
             which = int(np.argmax(small.reshape(-1))) % iu0.size
             raise SingularPairError(int(iu0[which]), int(iu1[which]))
-        return sin_phi, cos_phi, dth, cos_dth, sin_sin, dist, pairs
-
-    def f(u: np.ndarray) -> float | np.ndarray:
-        energy = (1.0 / _geometry(u)[-1]).sum(axis=-1)
+        energy = (1.0 / pairs).sum(axis=-1)
         return float(energy) if energy.ndim == 0 else energy
 
     def gradient(u: np.ndarray) -> np.ndarray:
-        sin_phi, cos_phi, dth, cos_dth, sin_sin, dist, _ = _geometry(u)
-        # only the diagonal can be 0 (coincident pairs raised above)
-        dist[..., diag, diag] = 1.0
+        sin_phi, cos_phi, dth, cos_dth, sin_sin, dist = _geometry(u)
+        # 1 on the diagonal (a strided view); then only a coincident pair is small
+        dist.reshape(-1, n * n)[:, ::n + 1] = 1.0
+        if dist.min() < _COINCIDENCE_TOL:
+            f(u)  # raises for the first coincident pair
         inv_d3 = dist ** -3
-        inv_d3[..., diag, diag] = 0.0
+        inv_d3.reshape(-1, n * n)[:, ::n + 1] = 0.0
         # d(1/d_ij)/dq = (d dot_ij / dq) / d_ij^3, with d dot_ij / d theta_i
         # = -sin_sin * sin(dth); negating the sum gives the same bits as
         # summing the negated terms

@@ -130,6 +130,12 @@ class TestOperatorProperties:
 
         assert sc.gl_power_rule_error([case() for _ in range(50)]) <= sc.GL_POWER_RULE_BOUND
 
+    def test_series_errors_keep_a_later_nan(self):
+        # a NaN coefficient turns the second case's error NaN; max() would drop it
+        cases = [(QUAD, 0.5, 2.0, 0.0), (Polynomial((1.0, math.nan, 9.0)), 0.5, 2.0, 0.0)]
+        assert math.isnan(sc.gl_power_rule_error(cases))
+        assert math.isnan(sc.caputo_series_error(cases))
+
     def test_caputo_rl_differ_by_constant_image(self, rng):
         for _ in range(20):
             alpha = rng.uniform(0.05, 0.95)

@@ -8,9 +8,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import fracopt.harness as harness
 from fracopt import _selfcheck
+from fracopt._csvfile import _cell, write_csv
 from fracopt.cli import main
 from fracopt.errors import ConfigError, IterationDivergenceError, SampleRetryError, SolverDivergenceError
 from fracopt.harness import (
@@ -359,6 +362,24 @@ class TestRunExperiment:
             assert rows[0][label_col] == "gd,m"
         assert (tmp_path / "comma__summary.csv").read_text().splitlines()[1].startswith(
             'quadratic,"gd,m",gdm,')
+
+
+
+NUMBER_CELLS = st.one_of(
+    st.floats(), st.integers(), st.booleans(),
+    st.sampled_from([-0.0, math.inf, -math.inf, math.nan, 5e-324, 2.2e-308, 1e16, 1e-300]))
+TEXT_CELLS = st.one_of(st.none(), st.text(alphabet='ab ,"\r\n'))
+
+
+@settings(derandomize=True, database=None, deadline=None)
+@given(rows=st.lists(st.one_of(st.lists(NUMBER_CELLS, max_size=8),
+                               st.lists(st.one_of(NUMBER_CELLS, TEXT_CELLS), max_size=8)),
+                     max_size=6))
+def test_csv_rows_written_as_their_cells(tmp_path_factory, rows):
+    path = tmp_path_factory.mktemp("csv") / "rows.csv"
+    write_csv(path, ["a", "b"], rows)
+    expected = "a,b\n" + "".join(",".join(map(_cell, row)) + "\n" for row in rows)
+    assert path.read_bytes() == expected.encode()
 
 
 def vandermonde_flows(n_methods: int) -> ExperimentSpec:

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import math
 import warnings
 
@@ -12,8 +13,10 @@ from fracopt.errors import (
     IterationDivergenceError,
     OperatorDomainError,
     OrderRangeError,
+    SingularPairError,
 )
 from fracopt.fdesolve import linear_relaxation_solution
+from fracopt import optimizers
 from fracopt.fracops import MemoryWindow
 from fracopt.optimizers import (
     Method,
@@ -135,6 +138,30 @@ class TestGdm:
         with pytest.raises(IterationDivergenceError) as err:
             run_gdm(QUAD, np.array([1.0]), cfg, StoppingRule(k_max=30000))
         assert err.value.iteration > 0
+
+    @pytest.mark.parametrize("starts", [[[1.0]], [[1.0], [2.0]]])
+    @pytest.mark.parametrize("omega, iteration", [(1.1, 1943), (1.5, 511)])
+    def test_divergence_reported_where_the_cost_overflows(self, starts, omega, iteration):
+        # (u - 3)^2 overflows at this iterate while u itself is still finite
+        u = np.array([1.0])
+        with np.errstate(over="ignore"):
+            for _ in range(iteration):
+                u = u - omega * QUAD.gradient(u)
+            assert np.isfinite(u).all() and QUAD.f(u) == math.inf
+        cfg = OptimizerConfig(method=Method.GDM, omega=omega)
+        with pytest.raises(IterationDivergenceError) as err:
+            run_restarts(QUAD, np.array(starts), cfg, StoppingRule(k_max=30000))
+        assert err.value.iteration == iteration
+
+    def test_overflowed_cost_reported_before_a_later_step_failure(self):
+        def step(k, u):
+            if k:
+                raise OperatorDomainError("the second step fails")
+            return u * 1e200, False  # (u - 3)^2 overflows, u does not
+
+        with pytest.raises(IterationDivergenceError) as err:
+            optimizers._descend(QUAD, np.array([[1.0]]), StoppingRule(k_max=10), step)
+        assert err.value.iteration == 1
 
     def test_fixed_point_stays(self):
         cfg = OptimizerConfig(method=Method.GDM, omega=0.1)
@@ -331,6 +358,16 @@ class TestRestarts:
         with pytest.raises(IterationDivergenceError):
             run_restarts(QUAD, np.array([[3.0], [1.0]]), cfg, StoppingRule(k_max=30000))
 
+    @pytest.mark.parametrize("k_max", [0, 10])
+    def test_thomson_coincident_start_raises_its_pair(self, k_max):
+        bad = self.STARTS[0].copy()
+        bad[[1, 5]] = bad[[0, 4]]  # charge 1 on charge 0
+        cfg = OptimizerConfig(method=Method.GDM, omega=0.005)
+        for starts in (bad, np.stack((self.STARTS[1], bad))):
+            with pytest.raises(SingularPairError) as err:
+                run_restarts(self.THOMSON, starts, cfg, StoppingRule(k_max=k_max))
+            assert str(err.value) == "coincident charges: pair (0, 1) has zero distance"
+
     def test_cgm_and_fgdm_run_rows_one_at_a_time(self):
         starts = np.array([[1.0], [2.0]])
         cgm = OptimizerConfig(method=Method.CGM, gain=1.0, h=0.01, t_end=2.0)
@@ -386,3 +423,51 @@ class TestOscillationCensus:
 
     def test_constant_trace(self):
         assert oscillation_census(np.ones(5)) == 0
+
+
+class TestDescentCosts:
+    """GDM takes each iterate's cost after the run, from the stored iterates."""
+
+    THOMSON, _ = make_thomson(4)
+    THOMSON_STARTS = np.array([random_sphere_configuration(4, seed=s) for s in (1, 2)])
+    VANDERMONDE, _ = make_vandermonde(4)
+    CASES = {
+        "quadratic": (QUAD, np.array([[1.0], [2.5]]), 0.1),
+        "vandermonde": (VANDERMONDE, np.array([[0.5] * 5, [-0.5] * 5]), 0.01),
+        "thomson": (THOMSON, THOMSON_STARTS, 0.005),
+    }
+
+    @pytest.mark.parametrize("rows", [1, 2])
+    @pytest.mark.parametrize("problem", sorted(CASES))
+    def test_costs_equal_single_state_f(self, problem, rows):
+        obj, starts, omega = self.CASES[problem]
+        cfg = OptimizerConfig(method=Method.GDM, omega=omega)
+        # past two metric chunks, so a cost comes from each position in a chunk
+        for res in run_restarts(obj, starts[:rows], cfg, StoppingRule(k_max=150)):
+            trace = res.iterations
+            assert len(trace) == 151
+            for u, cost in zip(trace.iterates, trace.costs):
+                assert np.float64(obj.f(u)).tobytes() == cost.tobytes()
+            assert np.float64(obj.metric(trace.iterates[-1])).tobytes() == \
+                np.float64(res.final_metric).tobytes()
+
+    def test_thomson_gdm_calls_f_once_per_chunk(self):
+        calls = {"f": 0, "gradient": 0}
+
+        def spy(name, fn):
+            def counted(u):
+                calls[name] += 1
+                return fn(u)
+            return counted
+
+        f = spy("f", self.THOMSON.f)
+        obj = dataclasses.replace(self.THOMSON, f=f, progress_metric=f,
+                                  gradient=spy("gradient", self.THOMSON.gradient))
+        cfg = OptimizerConfig(method=Method.GDM, omega=0.005)
+        k = 200
+        results = run_restarts(obj, self.THOMSON_STARTS, cfg, StoppingRule(k_max=k))
+        assert calls["gradient"] == k  # one stacked call per iteration
+        # the costs, and the metrics with them, by one call per chunk of a row
+        assert calls["f"] == 2 * math.ceil((k + 1) / optimizers._METRIC_CHUNK)
+        for u0, res in zip(self.THOMSON_STARTS, results):
+            assert_same_run(res, run_gdm(self.THOMSON, u0, cfg, StoppingRule(k_max=k)))

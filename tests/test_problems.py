@@ -109,6 +109,16 @@ class TestVandermonde:
             make_vandermonde(3, u_true=np.ones(7))
 
 
+
+def test_gradient_error_keeps_a_later_nan():
+    # the gradient of u^2, except NaN at the second point; max() would drop it
+    obj = problems.Objective(dimension=1, f=lambda u: float(u[0] ** 2),
+                             gradient=lambda u: np.where(u > 1.5, np.nan, 2.0 * u),
+                             progress_metric=lambda u: float(u[0]))
+    assert sc.gradient_error(obj, [[1.0]]) <= sc.GRADIENT_BOUND
+    assert math.isnan(sc.gradient_error(obj, [[1.0], [2.0]]))
+
+
 class TestThomson:
     def test_antipodal_pair(self):
         obj, _ = make_thomson(2)

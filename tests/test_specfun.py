@@ -33,6 +33,9 @@ class TestGamma:
     def test_recurrence(self, rng):
         assert sc.gamma_recurrence_error(rng.uniform(0.1, 20.0, 200)) <= sc.GAMMA_RECURRENCE_BOUND
 
+    def test_recurrence_error_keeps_a_later_nan(self):
+        assert math.isnan(sc.gamma_recurrence_error([2.5, math.nan]))
+
     def test_twelve_digits_on_range(self, rng):
         # reference values from arbitrary-precision evaluation
         xs = list(rng.uniform(-170.0, 170.0, 60)) + [-169.5, -0.5, 150.25, 170.0]
