@@ -84,10 +84,18 @@ def step_count(t_end: float, h: float) -> int:
     return n_steps
 
 
+def _too_many_steps(n_steps: int) -> SolverConfigError:
+    return SolverConfigError(f"{n_steps} steps do not fit in memory")
+
+
 def uniform_grid(t_end: float, h: float) -> np.ndarray:
     """The ``step_count(t_end, h) + 1`` points ``h * k``, the last set to
     exactly ``t_end`` (``0.1 * 7`` is ``0.7000000000000001``)."""
-    times = h * np.arange(step_count(t_end, h) + 1)
+    n_steps = step_count(t_end, h)
+    try:
+        times = h * np.arange(n_steps + 1)
+    except MemoryError:
+        raise _too_many_steps(n_steps) from None
     times[-1] = t_end
     return times
 
@@ -99,7 +107,7 @@ class FdeProblem:
     ``alpha`` is a float in (0, 2].  ``field`` must be time-autonomous and
     map a state vector to a state vector.  ``v0`` (the initial first
     derivative) is required exactly when alpha > 1.  Construction
-    evaluates the field once to confirm F(u0) is finite.
+    evaluates F(u0), checks that it is finite, and keeps it for the solvers.
     """
 
     alpha: float
@@ -127,33 +135,34 @@ class FdeProblem:
         if self.v0 is not None and self.v0.size != u0.size:
             raise SolverConfigError("v0 and u0 must have the same dimension")
         step_count(self.t_end, self.h)
-        f0 = np.asarray(self.field(u0), dtype=float)
+        f0 = np.array(self.field(u0), dtype=float)  # a copy the field cannot reuse
         if f0.shape != u0.shape or not np.all(np.isfinite(f0)):
             raise SolverConfigError("F(u0) must be a finite vector matching u0")
+        f0.flags.writeable = False
+        object.__setattr__(self, "_f0", f0)
 
 
 def _reversed_weights(a: float, n_steps: int) -> tuple[np.ndarray, np.ndarray]:
     """Lag-indexed quadrature weights, reversed for the history sums:
     predictor b[k] ~ (k+1)^a - k^a (rectangle rule), corrector
-    c[k] ~ (k+2)^(a+1) - 2(k+1)^(a+1) + k^(a+1) (trapezoid).  Their
-    intermediates are freed on return, before the solve allocates its
-    history."""
+    c[k] ~ (k+2)^(a+1) - 2(k+1)^(a+1) + k^(a+1) (trapezoid), each taken
+    from reversed slices, so no forward copy is made.  Their intermediates
+    are freed on return, before the solve allocates its history."""
     k = np.arange(n_steps + 1, dtype=float)
     ka = k**a
     ka1 = k ** (a + 1.0)
-    b = ka[1:] - ka[:-1]
-    c = ka1[2:] - 2.0 * ka1[1:-1] + ka1[:-2]
-    return b[::-1].copy(), c[::-1].copy()
+    del k
+    return ka[:0:-1] - ka[-2::-1], ka1[:1:-1] - 2.0 * ka1[-2:0:-1] + ka1[-3::-1]
 
 
 def solve_pece(problem: FdeProblem) -> Trajectory:
     """Full-memory ABM predictor-corrector solution on the uniform grid.
 
     One corrector iteration per step (predict, evaluate, correct,
-    evaluate), hence exactly 2 field evaluations per step plus the initial
-    one.  Raises :class:`SolverDivergenceError` with the offending time if
-    a state goes nonfinite.  A one-component state steps on Python floats,
-    with the bytes of the array steps.
+    evaluate), hence exactly 2 field evaluations per step plus F(u0), taken
+    on construction.  Raises :class:`SolverDivergenceError` with the
+    offending time if a state goes nonfinite.  A one-component state steps
+    on Python floats, with the bytes of the array steps.
     """
     return _solve_pece(problem, scalar=problem.u0.size == 1)
 
@@ -170,14 +179,16 @@ def _solve_pece(problem: FdeProblem, scalar: bool) -> Trajectory:
     times = uniform_grid(problem.t_end, h)
     n_steps = times.size - 1
 
-    b_rev, c_rev = _reversed_weights(a, n_steps)
+    try:
+        b_rev, c_rev = _reversed_weights(a, n_steps)
+        states = np.empty((n_steps + 1, problem.u0.size))
+        f_hist = np.empty_like(states)
+    except MemoryError:
+        raise _too_many_steps(n_steps) from None
     pred_scale = h**a / math.gamma(a + 1.0)
     corr_scale = h**a / math.gamma(a + 2.0)
-
-    states = np.empty((n_steps + 1, problem.u0.size))
-    f_hist = np.empty_like(states)
     states[0] = problem.u0
-    f_hist[0] = field(problem.u0)
+    f_hist[0] = problem._f0
 
     if scalar:
         box, unbox, finite = (lambda u: np.array([u])), (lambda v: float(v[0])), math.isfinite
@@ -249,12 +260,11 @@ def solve_reference_ode(
     once the step is under ten ulps of t."""
     if problem.alpha != 1.0:
         raise SolverConfigError("the reference solver only handles alpha = 1")
-    t, t_end, y = 0.0, float(problem.t_end), problem.u0
+    t, t_end, y, f = 0.0, float(problem.t_end), problem.u0, problem._f0
     if t_eval is not None:
         t_eval = np.asarray(t_eval, dtype=float)
         if not (0 <= t_eval[0] and t_eval[-1] <= t_end and np.all(np.diff(t_eval) > 0)):
             raise SolverConfigError("t_eval must increase strictly within [0, t_end]")
-    f = np.asarray(problem.field(y), dtype=float)
     scale = abs_tol + np.abs(y) * rel_tol
     d0, d1 = _rms(y / scale), _rms(f / scale)
     h0 = min(1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1, t_end)
@@ -298,7 +308,7 @@ def solve_reference_ode(
     states = np.vstack(states)
     if times[0] == 0.0:
         states[0] = problem.u0
-    # the field ran at u0, at the starting-step probe and six times per attempt
+    # the field ran at u0 (on construction), at the step probe and six times per attempt
     stats = TrajectoryStats(steps=len(times) - 1, field_evaluations=2 + 6 * attempts)
     return Trajectory(times=np.asarray(times), states=states, stats=stats)
 

@@ -86,21 +86,21 @@ class MemoryWindow:
         return max(self.lower_limit, u - self.memory_length)
 
 
-def _validate_limits(u: float, a: float) -> None:
+def _power_rule(p: Polynomial, alpha: float, u: float, a: float, caputo: bool) -> float:
+    """sum_j b_j Gamma(j+1)/Gamma(j+1-alpha) (u-a)^(j-alpha) over p(u) = sum_j b_j (u-a)^j,
+    from j = ceil(alpha) (Caputo) or from j = 0 (Riemann-Liouville)."""
+    alpha = float(alpha)
+    if not alpha > 0:
+        raise ValueError("alpha must be > 0")
     if a < 0:
         raise OperatorDomainError(f"lower limit a = {a:g} must be >= 0")
     if u <= a:
         raise OperatorDomainError(f"u = {u:g} must exceed the lower limit a = {a:g}")
-
-
-def _power_rule(shifted: tuple[float, ...], alpha: float, du: float, start: int) -> float:
-    # sum_{j>=start} b_j * Gamma(j+1)/Gamma(j+1-alpha) * du^(j-alpha)
+    start = math.ceil(alpha) if caputo else 0
     total = 0.0
-    for j in range(start, len(shifted)):
-        b = shifted[j]
-        if b == 0.0:
-            continue
-        total += b * math.gamma(j + 1) * _recip_gamma(j + 1 - alpha) * du ** (j - alpha)
+    for j, b in enumerate(p.shifted(a)):
+        if j >= start and b != 0.0:
+            total += b * math.gamma(j + 1) * _recip_gamma(j + 1 - alpha) * (u - a) ** (j - alpha)
     return total
 
 
@@ -111,11 +111,7 @@ def caputo_poly_derivative(p: Polynomial, alpha: float, u: float, a: float) -> f
     below ceil(alpha) map to zero, so constants vanish and alpha = 1
     reproduces p'(u).
     """
-    alpha = float(alpha)
-    if not alpha > 0:
-        raise ValueError("alpha must be > 0")
-    _validate_limits(u, a)
-    return _power_rule(p.shifted(a), alpha, u - a, start=math.ceil(alpha))
+    return _power_rule(p, alpha, u, a, caputo=True)
 
 
 def rl_poly_derivative(p: Polynomial, alpha: float, u: float, a: float) -> float:
@@ -124,8 +120,4 @@ def rl_poly_derivative(p: Polynomial, alpha: float, u: float, a: float) -> float
     Identical power rule but keeping every term, so a constant c maps to
     c (u-a)^-alpha / Gamma(1-alpha), nonzero for non-integer alpha.
     """
-    alpha = float(alpha)
-    if not alpha > 0:
-        raise ValueError("alpha must be > 0")
-    _validate_limits(u, a)
-    return _power_rule(p.shifted(a), alpha, u - a, start=0)
+    return _power_rule(p, alpha, u, a, caputo=False)

@@ -64,8 +64,8 @@ EXIT_DIVERGED = 3
 # restart seeds are derived as base_seed + _SEED_STRIDE * restart
 _SEED_STRIDE = 7919
 
-# the ProblemSpec fields each problem kind takes, besides its kind, with
-# their defaults; the fields of the other kinds stay None
+# the ProblemSpec fields each problem kind takes, besides its kind, with their
+# defaults (an empty u0 is the default start); other kinds' fields stay None
 _PROBLEM_FIELDS = {"quadratic": {"c": 3.0, "u0": None},
                    "vandermonde": {"degree": 10, "target_rule": "alternating", "u0": None},
                    "thomson": {"charges": 4}}
@@ -84,17 +84,19 @@ class ProblemSpec:
         if self.kind not in _PROBLEM_FIELDS:
             raise ConfigError(f"unknown problem kind: {self.kind!r}")
         takes = _PROBLEM_FIELDS[self.kind]
-        for f in fields(self)[1:]:
-            if f.name not in takes and getattr(self, f.name) is not None:
-                raise ConfigError(f"{f.name} is not a {self.kind} key")
-            if getattr(self, f.name) is None:  # the kind's default, or None
-                object.__setattr__(self, f.name, takes.get(f.name))
+        for name in sorted(f.name for f in fields(self)[1:]):  # the first foreign key by name
+            if name not in takes and getattr(self, name) is not None:
+                raise ConfigError(f"{name} is not a {self.kind} key")
+            if getattr(self, name) in (None, ()):  # the kind's default, or None
+                object.__setattr__(self, name, takes.get(name))
         if self.target_rule not in (None, "alternating", "dominant-modes"):
             raise ConfigError(f"unknown target rule: {self.target_rule!r}")
         if self.kind == "thomson" and self.charges < 2:
             raise ConfigError(f"charges must be >= 2, got {self.charges}")
         if self.kind == "vandermonde" and self.degree < 1:
             raise ConfigError(f"degree must be >= 1, got {self.degree}")
+        if self.target_rule == "dominant-modes" and self.degree < 3:  # it mixes in the fourth mode
+            raise ConfigError(f"the dominant-modes target needs degree >= 3, got {self.degree}")
         if self.kind == "quadratic" and not math.isfinite(self.c):
             raise ConfigError(f"c must be finite, got {self.c}")
         if self.u0 is not None:
@@ -169,18 +171,6 @@ class SummaryRecord:
     wall_seconds: float
 
 
-def _sign_normalized_svd(matrix: np.ndarray):
-    """SVD with each right singular vector's largest-|entry| made positive,
-    so the decomposition is reproducible across BLAS builds."""
-    u, s, vt = np.linalg.svd(matrix)
-    for i in range(vt.shape[0]):
-        j = int(np.argmax(np.abs(vt[i])))
-        if vt[i, j] < 0:
-            vt[i] = -vt[i]
-            u[:, i] = -u[:, i]
-    return u, s, vt
-
-
 def dominant_mode_target(degree: int) -> np.ndarray:
     """Table-1 target generator: the best-conditioned right singular
     direction of X plus a small admixture of the slow sigma~0.13 mode.
@@ -193,7 +183,9 @@ def dominant_mode_target(degree: int) -> np.ndarray:
     crosses the 0.1 passage threshold; the slow mode enters at 0.1.
     """
     _, spec = make_vandermonde(degree)
-    _, _, vt = _sign_normalized_svd(spec.matrix)
+    _, _, vt = np.linalg.svd(spec.matrix)
+    # largest |entry| of each right singular vector made positive, for any BLAS build
+    vt *= np.sign(vt[np.arange(len(vt)), np.abs(vt).argmax(axis=1)])[:, None]
     return 0.7 * vt[0] + 0.1 * vt[3]
 
 
@@ -349,7 +341,7 @@ _EXPERIMENT_KEYS = {
     "name": (ExperimentSpec, "name", str),
     "problem": (ProblemSpec, "kind", str),
     "c": (ProblemSpec, "c", float),
-    "u0": (ProblemSpec, "u0", lambda text: _floats(text) or None),  # empty: default start
+    "u0": (ProblemSpec, "u0", _floats),  # empty: the default start
     "degree": (ProblemSpec, "degree", int),
     "target_rule": (ProblemSpec, "target_rule", str),
     "charges": (ProblemSpec, "charges", int),
@@ -409,16 +401,6 @@ def _method_spec(name: str, kwargs: dict) -> MethodSpec:
     return MethodSpec(name.removeprefix("method."), OptimizerConfig(**cfg), **kwargs[MethodSpec])
 
 
-def _problem_spec(given: dict) -> ProblemSpec:
-    # a missing `problem =` is an empty, unknown kind, which ProblemSpec names
-    kind = given.setdefault("kind", "")
-    # each key is its field's name; one of another kind is an error whatever
-    # its value, and an empty `u0 =` reads as None, so the keys are checked here
-    if foreign := sorted(given.keys() - {"kind", *_PROBLEM_FIELDS.get(kind, given)}):
-        raise ConfigError(f"{foreign[0]} is not a {kind} key")
-    return ProblemSpec(**given)
-
-
 def parse_spec_file(path: str | Path) -> ExperimentSpec:
     """Parse the INI-style experiment description documented in the README:
     one [experiment] section plus one [method.<label>] section per entry.
@@ -441,7 +423,8 @@ def parse_spec_file(path: str | Path) -> ExperimentSpec:
     methods = tuple(_read_section(parser, s, _METHOD_KEYS, _method_spec)
                     for s in sections if s != "experiment")
     return _read_section(parser, "experiment", _EXPERIMENT_KEYS, lambda _, kwargs: ExperimentSpec(
-        problem=_problem_spec(kwargs[ProblemSpec]), methods=methods,
+        # a missing `problem =` is an empty, unknown kind, which ProblemSpec names
+        problem=ProblemSpec(**{"kind": "", **kwargs[ProblemSpec]}), methods=methods,
         **{"name": Path(path).stem, **kwargs[ExperimentSpec]}))
 
 

@@ -63,6 +63,12 @@ _DEFAULT_K_MAX = 20000
 _METRIC_CHUNK = 64
 
 
+def _per_state(fn: Callable[[np.ndarray], np.ndarray], states: np.ndarray) -> np.ndarray:
+    """``fn`` of each state of the stack ``states``, _METRIC_CHUNK states a call."""
+    return np.concatenate([fn(states[i:i + _METRIC_CHUNK])
+                           for i in range(0, len(states), _METRIC_CHUNK)])
+
+
 class Method(enum.Enum):
     GDM = "gdm"
     CGM = "cgm"
@@ -230,9 +236,7 @@ def _wrap_result(
         trace, iterations = None, history
         times, states = np.arange(len(history), dtype=float), history.iterates
     reuse = iterations is not None and objective.progress_metric is objective.f
-    metrics = iterations.costs if reuse else np.concatenate(
-        [objective.metric(states[i:i + _METRIC_CHUNK])
-         for i in range(0, len(states), _METRIC_CHUNK)])
+    metrics = iterations.costs if reuse else _per_state(objective.progress_metric, states)
     passages = first_passages(times, metrics, stop.thresholds)
     # a run that never reached epsilon reports the best state it saw
     converged = stop.epsilon is None or bool(np.any(metrics < stop.epsilon))
@@ -252,15 +256,15 @@ def _descend(
     objective: Objective,
     starts: np.ndarray,
     stop: StoppingRule,
-    step: Callable[[int, np.ndarray], tuple[np.ndarray, bool]],
+    step: Callable[[int, np.ndarray], tuple[np.ndarray, np.ndarray | bool]],
 ) -> list[RunResult]:
     """Iterate a discrete rule from each row of ``starts`` (R, d) until a
     stop condition holds for that row; one result per row.
 
-    ``step(k, u)`` takes the running states and returns their next iterates
-    (a new array) and whether the rule has settled.  One start runs as a
-    (d,) state, several as a stack of the rows that still run.  The costs
-    are taken when the run ends, from the stored iterates.
+    ``step(k, u)`` takes the stack of the rows that still run and returns
+    their next iterates (a new array) and which rows have settled: False for
+    none, or one bool per row.  The costs are taken when the run ends, from
+    the stored iterates.
     """
     t0 = time.perf_counter()
     k_max = stop.k_max if stop.k_max is not None else _DEFAULT_K_MAX
@@ -270,18 +274,15 @@ def _descend(
     iterates = np.empty((n_rows, min(k_max, 255) + 1, d))
     last = np.full(n_rows, k_max)  # index of each row's final iterate
     rows = np.arange(n_rows)  # the rows still running
-    u = starts[0] if n_rows == 1 else starts
+    u = starts
     iterates[:, 0] = starts
 
-    def retire(done, at: int):
+    def retire(done: np.ndarray, at: int):
         """Drop the rows that stop at iterate ``at``; False once none runs."""
         nonlocal rows, u
-        done = np.broadcast_to(done, rows.shape)
         if done.any():
             last[rows[done]] = at
-            rows = rows[~done]
-            if rows.size:
-                u = u[~done]
+            rows, u = rows[~done], u[~done]
         return rows.size > 0
 
     failure = None
@@ -289,7 +290,8 @@ def _descend(
     with np.errstate(over="ignore", invalid="ignore"):
         try:
             for k in range(k_max):
-                if stop.epsilon is not None and not retire(objective.metric(u) < stop.epsilon, k):
+                if stop.epsilon is not None and not retire(
+                        objective.progress_metric(u) < stop.epsilon, k):
                     break
                 u, settled = step(k, u)
                 if not np.isfinite(u).all():
@@ -298,13 +300,11 @@ def _descend(
                     iterates = np.concatenate(
                         (iterates, np.empty((n_rows, min(k + 1, k_max - k), d))), axis=1)
                 iterates[rows, k + 1] = u
-                if settled and not retire(settled, k + 1):
+                if settled is not False and not retire(settled, k + 1):
                     break
         except FracoptError as exc:
             last[rows], failure = k, exc
-        costs = [np.concatenate([objective.f(iterates[i, j:min(j + _METRIC_CHUNK, e + 1)])
-                                 for j in range(0, e + 1, _METRIC_CHUNK)])
-                 for i, e in enumerate(last)]
+        costs = [_per_state(objective.f, iterates[i, :e + 1]) for i, e in enumerate(last)]
     # a cost that overflowed at a finite state, before any failure, comes first
     first = min((j for c in costs for j in np.flatnonzero(~np.isfinite(c)) if j), default=0)
     if first or failure:
@@ -350,8 +350,8 @@ def _fgdm(objective: Objective, starts: np.ndarray, cfg: OptimizerConfig,
         raise ConfigError("fgdm takes a scalar polynomial objective (the quadratic) only")
     rule = caputo_poly_derivative if cfg.fgdm_operator == "caputo" else rl_poly_derivative
 
-    def step(k: int, u: np.ndarray) -> tuple[np.ndarray, bool]:
-        x = float(u[0])
+    def step(k: int, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        x = float(u[0, 0])
         try:
             d = rule(poly, alpha, x, window.effective_lower_limit(x))
         except OperatorDomainError as exc:
@@ -360,7 +360,7 @@ def _fgdm(objective: Objective, starts: np.ndarray, cfg: OptimizerConfig,
             ) from exc
         x_next = x - omega * d
         # settled at the operator zero to machine precision
-        return np.array([x_next]), abs(omega * d) < 1e-14 * max(1.0, abs(x_next))
+        return np.array([[x_next]]), np.array([abs(omega * d) < 1e-14 * max(1.0, abs(x_next))])
 
     return [_descend(objective, u0[None, :1], stop, step)[0] for u0 in starts]
 
@@ -373,6 +373,8 @@ def _fctm(objective: Objective, starts: np.ndarray, cfg: OptimizerConfig,
     t0 = time.perf_counter()
     n_rows, d = starts.shape
     gain = cfg.gain
+    # one start keeps its (d,) state: on a (1, d) stack the interpolation gradient runs
+    # row-wise, 4.4-4.7 us a call for 2.9-3.2 at d = 11, 0.4 s of table1's 250 000 calls
     if n_rows == 1:
         def fde_field(u: np.ndarray) -> np.ndarray:
             return -gain * objective.gradient(u)

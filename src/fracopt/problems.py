@@ -63,11 +63,6 @@ class Objective:
     progress_metric: Callable[[np.ndarray], float | np.ndarray]
     polynomial: Polynomial | None = None
 
-    def metric(self, u: np.ndarray) -> float | np.ndarray:
-        """Progress metric of a state as a float, or of a stack per row."""
-        value = self.progress_metric(u)
-        return float(value) if np.ndim(u) == 1 else np.asarray(value, dtype=float)
-
 
 def _rowwise(fn: Callable[[np.ndarray], float | np.ndarray]):
     """Extend a single-state function to stacks by calling it per row, for

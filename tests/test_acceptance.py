@@ -1,10 +1,10 @@
 """Acceptance suite: one test per criterion, each printing a PASS/FAIL line.
 
 Run with `pytest tests/test_acceptance.py -v -s` to see the per-criterion
-lines as they complete.  The module takes about 40 s on a shared 2-vCPU
+lines as they complete.  The module takes about 35 s on a shared 2-vCPU
 Xeon machine, most of it in the seeded point-charge restarts (criterion
-6, 22-23 s) and the shared-horizon residual comparison (criterion 5,
-12-18 s).  Criteria 2, 3, 7 and 8 call the invariant checks of
+6, 14-18 s) and the shared-horizon residual comparison (criterion 5,
+12-15 s).  Criteria 2, 3, 7 and 8 call the invariant checks of
 fracopt._selfcheck, which `fracopt check` runs on smaller cases against
 the same bounds.
 """

@@ -116,6 +116,14 @@ class TestPece:
         assert traj.stats.steps == 100
         assert traj.stats.field_evaluations == 2 * traj.stats.steps + 1
 
+    def test_history_beyond_memory_is_config_error(self, monkeypatch):
+        # the weights and the history are sized by the step count, as the grid is
+        def no_memory(*_args):
+            raise MemoryError
+        monkeypatch.setattr(fdesolve, "_reversed_weights", no_memory)
+        with pytest.raises(SolverConfigError, match="^500 steps do not fit in memory$"):
+            solve_pece(make_linear(0.9, t_end=1.0, h=2e-3))
+
     def test_determinism(self):
         a = solve_pece(make_linear(0.9, t_end=1.0, h=1e-3))
         b = solve_pece(make_linear(0.9, t_end=1.0, h=1e-3))
@@ -331,8 +339,9 @@ class TestReferenceSolver:
 
     def test_nan_field_raises_stiffness_error(self):
         # NaN error norms are rejections: the step shrinks until it fails, as
-        # solve_ivp does after 441 field calls (FdeProblem's check of F(u0)
-        # included); the call budget turns a hang into a failure
+        # solve_ivp does after 440 field calls (the first is FdeProblem's check
+        # of F(u0), which the solver reuses); the call budget turns a hang into
+        # a failure
         calls = 0
 
         def field(u):
@@ -345,7 +354,7 @@ class TestReferenceSolver:
         prob = FdeProblem(alpha=1.0, field=field, u0=[1.0], t_end=2.0, h=0.5)
         with pytest.raises(StiffnessError, match="adaptive step control failed: Required step size"):
             solve_reference_ode(prob)
-        assert calls == 441
+        assert calls == 440
 
     def test_t_eval_outside_horizon_rejected(self):
         for t_eval in ([0.0, 2.0], [0.5, 0.5], [-0.1, 0.5]):
@@ -406,6 +415,32 @@ def test_reference_solver_matches_solve_ivp_bit_for_bit(case, on_grid):
     assert traj.states.tobytes() == expected.tobytes()
     assert traj.stats.field_evaluations == calls
     assert traj.stats.steps == sol.t.size - 1
+
+
+COUNTED_SOLVES = {
+    "pece-d1": (solve_pece, dict(alpha=0.9, u0=[1.0])),
+    "pece-d2": (solve_pece, dict(alpha=0.9, u0=[1.0, 2.0])),
+    "pece-a1.5": (solve_pece, dict(alpha=1.5, u0=[1.0], v0=0.5)),
+    "reference": (solve_reference_ode, dict(alpha=1.0, u0=[1.0, 2.0])),
+    "reference-t_eval": (lambda p: solve_reference_ode(p, t_eval=uniform_grid(p.t_end, p.h)),
+                         dict(alpha=1.0, u0=[1.0])),
+}
+
+
+@pytest.mark.parametrize("case", sorted(COUNTED_SOLVES))
+def test_field_called_exactly_field_evaluations_times(case):
+    # FdeProblem's check of F(u0) is the solve's first evaluation, so the
+    # count covers every call from construction on
+    solve, kwargs = COUNTED_SOLVES[case]
+    calls = 0
+
+    def field(u):
+        nonlocal calls
+        calls += 1
+        return -2.0 * (u - 3.0)
+
+    traj = solve(FdeProblem(field=field, t_end=0.7, h=0.1, **kwargs))
+    assert calls == traj.stats.field_evaluations
 
 
 class TestTrajectoryExport:

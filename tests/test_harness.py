@@ -1,8 +1,11 @@
 from __future__ import annotations
 
 import configparser
+import contextlib
 import csv
+import io
 import math
+import re
 import tracemalloc
 from pathlib import Path
 
@@ -209,6 +212,13 @@ class TestSpecParsing:
         with pytest.raises(ConfigError, match=f"^{name} is not a {kind} key$"):
             ProblemSpec(kind=kind, **field)
 
+    def test_dominant_modes_needs_degree_three(self):
+        # the target mixes in the fourth singular mode: at degree 2 `fracopt run`
+        # failed with an IndexError traceback
+        with pytest.raises(ConfigError, match="^the dominant-modes target needs degree >= 3, got 2$"):
+            ProblemSpec(kind="vandermonde", degree=2, target_rule="dominant-modes")
+        assert ProblemSpec(kind="vandermonde", degree=3, target_rule="dominant-modes").degree == 3
+
     def test_problem_defaults_per_kind(self):
         assert ProblemSpec(kind="quadratic") == ProblemSpec(kind="quadratic", c=3.0)
         vdm = ProblemSpec(kind="vandermonde")
@@ -380,6 +390,111 @@ def test_csv_rows_written_as_their_cells(tmp_path_factory, rows):
     write_csv(path, ["a", "b"], rows)
     expected = "a,b\n" + "".join(",".join(map(_cell, row)) + "\n" for row in rows)
     assert path.read_bytes() == expected.encode()
+
+
+# Spec files for the grammar property: a valid base spec, kept small (at
+# most 200 steps, k_max <= 50, restarts <= 2, charges <= 6, degree <= 4),
+# then up to two defects.  A key listed under FOREIGN is rejected in that
+# section whatever its value.
+JUNK = ["", "nan", "inf", "-1", "0", "x"]
+FOREIGN = {
+    "quadratic": ["charges", "degree", "target_rule", "restart"],
+    "vandermonde": ["c", "charges", "omega"],
+    "thomson": ["c", "u0", "degree", "target_rule"],
+    "gdm": ["gain", "h", "t_end", "v0", "operator", "window_lower", "window_step"],
+    "cgm": ["omega", "v0", "operator", "window_length", "c"],
+    "fgdm": ["gain", "h", "t_end", "v0"],
+    "fctm": ["omega", "operator", "window_lower", "window_length"],
+}
+FOREIGN_VALUES = {"charges": "4", "degree": "2", "target_rule": "alternating", "c": "3.0",
+                  "u0": "1.0", "omega": "0.1", "gain": "1.0", "h": "0.1", "t_end": "1.0",
+                  "v0": "0.0", "operator": "rl", "window_lower": "0", "window_length": "1"}
+
+
+@st.composite
+def spec_texts(draw) -> tuple[str, bool, str | None]:
+    """A spec file, whether it is the valid base, and the foreign key that
+    is its one defect, if it has exactly that one."""
+    pick = lambda *options: draw(st.sampled_from(options))  # noqa: E731
+    kind = pick("quadratic", "vandermonde", "thomson")
+    experiment = [("problem", kind), ("thresholds", pick("", "0.1", "0.1, 0.01")),
+                  ("restarts", pick("1", "2")), ("seed", pick("0", "5"))]
+    if kind == "quadratic":
+        experiment += [("c", pick("3.0", "-2")), ("u0", pick("", "1.0"))]
+    elif kind == "vandermonde":
+        degree = pick(1, 2, 4)
+        rule = pick("alternating", "dominant-modes") if degree >= 3 else "alternating"
+        experiment += [("degree", str(degree)), ("target_rule", rule),
+                       ("u0", pick("", ", ".join(["0"] * (degree + 1))))]
+    else:
+        experiment += [("charges", pick("2", "3", "6"))]
+    sections = [("experiment", kind, experiment)]
+    t_end = pick("1.0", "2.0", "10.0")
+    methods = ["gdm", "cgm", "fctm"] + (["fgdm"] if kind == "quadratic" else [])
+    for i, method in enumerate(draw(st.lists(st.sampled_from(methods), min_size=1, max_size=3))):
+        keys = [("method", method), ("k_max", pick("0", "5", "50"))]
+        if method == "gdm":
+            keys += [("omega", pick("0.05", "0.1", "1.5")), ("epsilon", pick("0.01", "1e-3"))]
+        elif method == "cgm":
+            keys += [("gain", pick("0.1", "1.0")), ("t_end", t_end)] + pick([], [("h", "0.1")])
+        elif method == "fgdm":
+            keys += [("alpha", pick("0.5", "0.9", "1.0")), ("omega", "0.05"),
+                     ("operator", pick("caputo", "rl"))] + pick([], [("window_length", "0.5")])
+        else:
+            alpha = pick("0.5", "1.0", "1.5", "2.0")
+            keys += [("alpha", alpha), ("gain", pick("0.1", "1.0")),
+                     ("h", pick("0.05", "0.1")), ("t_end", t_end)]
+            keys += [("v0", pick("0.0", "0.5"))] if float(alpha) > 1 else []
+        sections.append((f"method.m{i}", method, keys))
+
+    foreign = None
+    defects = [] if draw(st.booleans()) else draw(st.lists(st.sampled_from(
+        ["value", "foreign", "duplicate key", "duplicate section", "drop", "DEFAULT"]),
+        min_size=1, max_size=2))
+    for defect in defects:
+        header, section_kind, keys = sections[draw(st.integers(0, len(sections) - 1))]
+        at = draw(st.integers(0, len(keys) - 1))
+        if defect == "value":
+            keys[at] = (keys[at][0], pick(*JUNK))
+        elif defect == "foreign":
+            key = pick(*FOREIGN.get(section_kind, ["restart"]))  # [DEFAULT] has no kind
+            keys.insert(at + 1, (key, FOREIGN_VALUES.get(key, "1")))
+            foreign = key
+        elif defect == "duplicate key":
+            keys.append(keys[at])
+        elif defect == "duplicate section":
+            sections.append((header, section_kind, list(keys)))
+        elif defect == "drop" and keys[at][0] not in ("k_max", "degree"):  # large defaults
+            del keys[at]
+        elif defect == "DEFAULT":
+            sections.insert(0, ("DEFAULT", None, [("omega", "0.1")]))
+    text = "\n".join(f"[{header}]\n" + "".join(f"{k} = {v}".rstrip() + "\n" for k, v in keys)
+                     for header, _, keys in sections)
+    return text, not defects, foreign if defects == ["foreign"] else None
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=200)
+@given(drawn=spec_texts())
+def test_spec_grammar(tmp_path_factory, drawn):
+    # every drawn spec exits 0, 2 or 3 and writes no summary on exit 2; the
+    # valid base runs; a rejected key is named as the file writes it
+    text, valid, foreign = drawn
+    root = tmp_path_factory.mktemp("grammar")
+    path, out = root / "spec.ini", root / "out"
+    path.write_text(text)
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        code = main(["--out", str(out), "run", str(path)])
+    allowed = (EXIT_OK, EXIT_DIVERGED) if valid else (EXIT_OK, EXIT_CONFIG, EXIT_DIVERGED)
+    assert code in allowed, text
+    assert (code == EXIT_CONFIG) == (not list(out.glob("*__summary.csv"))), text
+    written = set(re.findall(r"^(\w+) =", text, re.MULTILINE))
+    named = re.findall(r"(\w+) is not an? [\w-]+ key", err.getvalue())
+    for listed in re.findall(r"unknown keys \[(.*?)\]", err.getvalue()):
+        named += re.findall(r"'(\w+)'", listed)
+    assert set(named) <= written, (named, text)
+    if foreign is not None:
+        assert code == EXIT_CONFIG and named == [foreign], (err.getvalue(), text)
 
 
 def vandermonde_flows(n_methods: int) -> ExperimentSpec:
@@ -653,6 +768,18 @@ class TestCli:
         assert main(["--out", str(tmp_path / "out"), "run", str(path)]) == EXIT_CONFIG
         assert "steps do not fit in a numpy array" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("method", ["fctm\nalpha = 0.9", "cgm"])
+    def test_grid_beyond_memory_is_a_failed_cell(self, tmp_path, method):
+        # 1e15 steps fit in a numpy array's index but not in the 128 TiB x86-64
+        # address space, so the grid's allocation fails at once
+        path = tmp_path / "big.ini"
+        path.write_text(f"[experiment]\nname = big\nproblem = quadratic\n\n[method.f]\n"
+                        f"method = {method}\ngain = 1.0\nh = 0.000000001\nt_end = 1000000.0\n")
+        assert main(["--out", str(tmp_path), "run", str(path)]) == EXIT_DIVERGED
+        with open(tmp_path / "big__summary.csv", newline="") as fh:
+            (row,) = csv.DictReader(fh)
+        assert row["status"] == "diverged: 1000000000000000 steps do not fit in memory"
 
     def test_unusable_out_is_config_error(self, tmp_path, capsys, monkeypatch):
         # an --out that is a file, or lies under one, is named before any cell runs

@@ -448,7 +448,7 @@ class TestDescentCosts:
             assert len(trace) == 151
             for u, cost in zip(trace.iterates, trace.costs):
                 assert np.float64(obj.f(u)).tobytes() == cost.tobytes()
-            assert np.float64(obj.metric(trace.iterates[-1])).tobytes() == \
+            assert np.float64(obj.progress_metric(trace.iterates[-1])).tobytes() == \
                 np.float64(res.final_metric).tobytes()
 
     def test_thomson_gdm_calls_f_once_per_chunk(self):

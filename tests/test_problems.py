@@ -45,18 +45,20 @@ class TestQuadratic:
 
     def test_metric_is_distance_to_optimum(self):
         obj = make_quadratic(3.0)
-        assert obj.metric(np.array([1.0])) == 2.0
+        assert obj.progress_metric(np.array([1.0])) == 2.0
 
 
 def test_quadratic_and_vandermonde_stacks_keep_single_state_bits(rng):
     quad = make_quadratic(3.0)
     vand, _ = make_vandermonde(10)
-    for obj, stack in ((quad, rng.normal(3.0, 2.0, (50, 1))), (vand, rng.normal(0.0, 1.0, (50, 11)))):
-        f, g, m = obj.f(stack), obj.gradient(stack), obj.metric(stack)
+    # a stack of one start too, as GDM and FGDM step one start
+    for obj, stack in ((quad, rng.normal(3.0, 2.0, (50, 1))), (vand, rng.normal(0.0, 1.0, (50, 11))),
+                       (quad, rng.normal(3.0, 2.0, (1, 1))), (vand, rng.normal(0.0, 1.0, (1, 11)))):
+        f, g, m = obj.f(stack), obj.gradient(stack), obj.progress_metric(stack)
         for i, u in enumerate(stack):
             assert np.float64(obj.f(u)).tobytes() == f[i].tobytes()
             assert obj.gradient(u).tobytes() == g[i].tobytes()
-            assert np.float64(obj.metric(u)).tobytes() == m[i].tobytes()
+            assert np.float64(obj.progress_metric(u)).tobytes() == m[i].tobytes()
 
 
 class TestVandermonde:
@@ -192,14 +194,16 @@ class TestThomson:
     def test_stack_rows_equal_single_states_bitwise(self, n, rng):
         obj, _ = make_thomson(n)
         starts = [random_sphere_configuration(n, seed=int(s)) for s in rng.integers(0, 10**6, 3)]
-        # a long stack, as the stacked metric sees a trace
-        stack = np.concatenate([u + rng.normal(0.0, 1e-2, (100, 2 * n)) for u in starts])
-        f, g, m = obj.f(stack), obj.gradient(stack), obj.metric(stack)
-        assert f.shape == m.shape == (300,) and g.shape == (300, 2 * n)
-        for i, u in enumerate(stack):
-            assert np.float64(obj.f(u)).tobytes() == f[i].tobytes()
-            assert obj.gradient(u).tobytes() == g[i].tobytes()
-            assert np.float64(obj.metric(u)).tobytes() == m[i].tobytes()
+        # a long stack, as the stacked metric sees a trace, and a stack of one
+        # start, as GDM steps one start
+        long = np.concatenate([u + rng.normal(0.0, 1e-2, (100, 2 * n)) for u in starts])
+        for stack in (long, long[:1]):
+            f, g, m = obj.f(stack), obj.gradient(stack), obj.progress_metric(stack)
+            assert f.shape == m.shape == (len(stack),) and g.shape == (len(stack), 2 * n)
+            for i, u in enumerate(stack):
+                assert np.float64(obj.f(u)).tobytes() == f[i].tobytes()
+                assert obj.gradient(u).tobytes() == g[i].tobytes()
+                assert np.float64(obj.progress_metric(u)).tobytes() == m[i].tobytes()
 
     @pytest.mark.parametrize("n", [4, 12])
     def test_known_minima_dominance(self, n):
