@@ -19,7 +19,7 @@ from .fdesolve import FdeProblem, linear_relaxation_solution, solve_pece, solve_
 from .fracops import MemoryWindow, Polynomial, caputo_poly_derivative, rl_poly_derivative
 from .optimizers import Method, OptimizerConfig, StoppingRule, run_restarts
 from .problems import Objective, make_quadratic
-from .specfun import gamma, mittag_leffler
+from .specfun import mittag_leffler
 
 GAMMA_RECURRENCE_BOUND = 1e-12  # relative
 ML_EXP_BOUND = 1e-10
@@ -38,7 +38,8 @@ PolynomialCase = tuple[Polynomial, float, float, float]
 
 def gamma_recurrence_error(xs: Iterable[float]) -> float:
     """Worst relative error of Gamma(x + 1) = x Gamma(x)."""
-    return float(np.max([abs(gamma(x + 1.0) - x * gamma(x)) / gamma(x + 1.0) for x in xs]))
+    return float(np.max([abs(math.gamma(x + 1.0) - x * math.gamma(x)) / math.gamma(x + 1.0)
+                         for x in xs]))
 
 
 def ml_exp_error(ts: np.ndarray) -> float:

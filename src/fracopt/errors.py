@@ -4,7 +4,6 @@ from __future__ import annotations
 
 __all__ = [
     "FracoptError",
-    "GammaPoleError",
     "MittagLefflerError",
     "OperatorDomainError",
     "SolverConfigError",
@@ -20,14 +19,6 @@ __all__ = [
 
 class FracoptError(Exception):
     """Base class for all package-specific errors."""
-
-
-class GammaPoleError(FracoptError, ValueError):
-    """Gamma function evaluated at a pole (zero or a negative integer)."""
-
-    def __init__(self, x: float):
-        self.x = x
-        super().__init__(f"gamma(x) has a pole at x = {x:g}")
 
 
 class MittagLefflerError(FracoptError):
@@ -46,11 +37,11 @@ class SolverConfigError(FracoptError, ValueError):
 
 
 class SolverDivergenceError(FracoptError):
-    """Integration produced a nonfinite state."""
+    """Integration produced a nonfinite state or progress metric."""
 
     def __init__(self, t: float):
         self.t = t
-        super().__init__(f"nonfinite state during integration at t = {t:g}")
+        super().__init__(f"nonfinite state or metric at t = {t:g}")
 
 
 class StiffnessError(FracoptError):
@@ -58,11 +49,11 @@ class StiffnessError(FracoptError):
 
 
 class IterationDivergenceError(FracoptError):
-    """Discrete descent iteration produced a nonfinite iterate."""
+    """Discrete descent produced a nonfinite iterate, cost or progress metric."""
 
     def __init__(self, iteration: int):
         self.iteration = iteration
-        super().__init__(f"nonfinite iterate at iteration {iteration}")
+        super().__init__(f"nonfinite iterate or cost at iteration {iteration}")
 
 
 class OrderRangeError(FracoptError, ValueError):

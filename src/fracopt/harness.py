@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import configparser
 import math
+import re
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
 from typing import Callable
@@ -82,7 +83,7 @@ class ProblemSpec:
 
     def __post_init__(self) -> None:
         if self.kind not in _PROBLEM_FIELDS:
-            raise ConfigError(f"unknown problem kind: {self.kind!r}")
+            raise ConfigError(f"unknown problem: {self.kind!r}")
         takes = _PROBLEM_FIELDS[self.kind]
         for name in sorted(f.name for f in fields(self)[1:]):  # the first foreign key by name
             if name not in takes and getattr(self, name) is not None:
@@ -233,7 +234,7 @@ def _run_method(spec: ExperimentSpec, mspec: MethodSpec) -> list[RunResult | Fra
 
 
 def _write_summary(path: Path, records: list[SummaryRecord],
-                   thresholds: tuple[float, ...], header_note: str | None = None) -> None:
+                   thresholds: tuple[float, ...], header_note: str | None) -> None:
     cols = ["problem", "label", "method", "alpha", "gain", "restart"]
     cols += [f"t_below_{t:g}" for t in thresholds]
     cols += ["final_metric", "ratio_vs_alpha1", "field_evaluations", "status"]
@@ -277,6 +278,7 @@ def _write_method(out: Path, spec: ExperimentSpec, mspec: MethodSpec,
 def run_experiment(
     spec: ExperimentSpec, out_dir: str | Path, workers: int = 1,
     on_result: Callable[[str, int, RunResult], None] | None = None,
+    header_note: str | None = None,
 ) -> tuple[list[SummaryRecord], int]:
     """Execute every (method, restart) cell and write summary/trace CSVs.
 
@@ -288,9 +290,10 @@ def run_experiment(
     sees each completed cell with its trace, and the cell becomes a
     :class:`SummaryRecord`, which holds no result.  ``ratio_vs_alpha1``
     divides the final metric of the first order-1 method by each cell's,
-    per restart.  A diverging cell is recorded with its error and does not
-    abort the batch; the returned exit code is EXIT_DIVERGED if any cell
-    failed, EXIT_OK otherwise.
+    per restart; ``header_note``, if given, heads the summary CSV.  A
+    diverging cell is recorded with its error and does not abort the
+    batch; the returned exit code is EXIT_DIVERGED if any cell failed,
+    EXIT_OK otherwise.
     """
     if workers < 1:
         raise ConfigError(f"workers must be >= 1, got {workers}")
@@ -321,7 +324,7 @@ def run_experiment(
                if r.restart in baseline and r.final_metric > 0 else r
                for recs in per_method for r in recs]
     records.sort(key=lambda r: (r.alpha, r.label, r.restart))
-    _write_summary(out / f"{spec.name}__summary.csv", records, spec.thresholds)
+    _write_summary(out / f"{spec.name}__summary.csv", records, spec.thresholds, header_note)
     write_csv(out / f"{spec.name}__timing.csv", ["label", "restart", "wall_seconds"],
               ((r.label, r.restart, f"{r.wall_seconds:.6f}") for r in records))
     diverged = any(r.status != "completed" for r in records)
@@ -369,7 +372,8 @@ def _read_section(parser: configparser.ConfigParser, name: str, table: dict,
                   build: Callable[[str, dict], object]):
     """Convert section ``name`` by ``table`` and return ``build(name, kwargs)``,
     where ``kwargs`` maps each object in the table to the fields the section
-    sets.  A key missing from the table, and every error, names the section."""
+    sets.  A key missing from the table, and every error, names the section,
+    and an error names each field by its key."""
     section = parser[name]
     try:
         unknown = sorted(set(section) - table.keys())
@@ -381,7 +385,10 @@ def _read_section(parser: configparser.ConfigParser, name: str, table: dict,
             kwargs[target][field_name] = convert(text)
         return build(name, kwargs)
     except (ValueError, configparser.Error) as exc:
-        raise ConfigError(f"[{name}]: {exc}") from exc
+        # quoted text is a value as the file wrote it, left as it is
+        keys = {field_name: key for key, (_, field_name, _) in table.items()}
+        message = re.sub(r"'[^']*'|\w+", lambda m: keys.get(m[0], m[0]), str(exc))
+        raise ConfigError(f"[{name}]: {message}") from exc
 
 
 def _method_spec(name: str, kwargs: dict) -> MethodSpec:
@@ -520,12 +527,10 @@ def _reproduce_table1(out: Path, seed: int, workers: int):
         problem=ProblemSpec(kind="vandermonde", degree=10, target_rule="dominant-modes"),
         methods=methods, thresholds=(0.1, 0.01, 0.001), base_seed=seed,
     )
-    records, code = run_experiment(spec, out, workers)
     note = (f"residual-vs-order comparison; horizon={TABLE1_HORIZON:g} h={TABLE1_H:g} "
             f"gain=0.001 target=dominant-modes u0=0; empty passage cells mean "
             f"'not reached within horizon'")
-    _write_summary(out / "table1__summary.csv", records, spec.thresholds, header_note=note)
-    return records, code
+    return run_experiment(spec, out, workers, header_note=note)
 
 
 # table-2 defaults: documented feasible pairing of horizon and mesh

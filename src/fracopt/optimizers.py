@@ -37,6 +37,7 @@ from .errors import (
     OperatorDomainError,
     OrderRangeError,
     SolverConfigError,
+    SolverDivergenceError,
 )
 from .fdesolve import FdeProblem, Trajectory, solve_pece, solve_reference_ode, step_count, uniform_grid
 from .fracops import MemoryWindow, caputo_poly_derivative, rl_poly_derivative
@@ -236,7 +237,16 @@ def _wrap_result(
         trace, iterations = None, history
         times, states = np.arange(len(history), dtype=float), history.iterates
     reuse = iterations is not None and objective.progress_metric is objective.f
-    metrics = iterations.costs if reuse else _per_state(objective.progress_metric, states)
+    with np.errstate(over="ignore", invalid="ignore"):
+        metrics = iterations.costs if reuse else _per_state(objective.progress_metric, states)
+    # every runner's divergence rule: the earliest metric, or cost of a
+    # discrete run, that is not finite at a finite state fails the run there
+    finite = np.isfinite(metrics)
+    if iterations is not None:
+        finite &= np.isfinite(iterations.costs)
+    if not finite.all():
+        j = int(np.argmin(finite))
+        raise IterationDivergenceError(j) if trace is None else SolverDivergenceError(float(times[j]))
     passages = first_passages(times, metrics, stop.thresholds)
     # a run that never reached epsilon reports the best state it saw
     converged = stop.epsilon is None or bool(np.any(metrics < stop.epsilon))
@@ -286,7 +296,7 @@ def _descend(
         return rows.size > 0
 
     failure = None
-    # overflow on a diverging run is expected and detected explicitly
+    # overflow on a diverging run is expected; _wrap_result detects it
     with np.errstate(over="ignore", invalid="ignore"):
         try:
             for k in range(k_max):
@@ -305,16 +315,16 @@ def _descend(
         except FracoptError as exc:
             last[rows], failure = k, exc
         costs = [_per_state(objective.f, iterates[i, :e + 1]) for i, e in enumerate(last)]
-    # a cost that overflowed at a finite state, before any failure, comes first
-    first = min((j for c in costs for j in np.flatnonzero(~np.isfinite(c)) if j), default=0)
-    if first or failure:
-        raise IterationDivergenceError(int(first)) if first else failure
     wall = (time.perf_counter() - t0) / n_rows  # an equal share per row
-    # one step per iterate after the start
-    return [_wrap_result(objective, stop,
-                         DiscreteTrace(iterates=iterates[i, :e + 1], costs=costs[i]),
-                         int(e), wall)
-            for i, e in enumerate(last)]
+    # one step per iterate after the start; wrapping raises a cost that
+    # overflowed at a finite state before the failure that ended the loop
+    results = [_wrap_result(objective, stop,
+                            DiscreteTrace(iterates=iterates[i, :e + 1], costs=costs[i]),
+                            int(e), wall)
+               for i, e in enumerate(last)]
+    if failure:
+        raise failure
+    return results
 
 
 def _gdm(objective: Objective, starts: np.ndarray, cfg: OptimizerConfig,
@@ -409,12 +419,14 @@ def run_restarts(
     """Run ``cfg``'s method from each row of ``starts`` (R, d); one result
     per row, each equal to the one-start run of that row.
 
-    Each method has its runner.  GDM and FCTM advance all rows as one
-    stack, so a failure in any row raises for the whole stack.  FCTM's
-    history sum is a BLAS product over the R*d columns; with OpenBLAS on
-    x86-64 it matched the one-start runs bit for bit for d = 8, 12 and 24,
-    and to about 1e-15 relative for d = 10.  CGM (adaptive steps would
-    couple the rows) and FGDM (scalar only) run the rows one at a time.
+    Each method has its runner; for every method, a row whose state, cost
+    or metric is not finite raises a divergence error at that time or
+    iteration.  GDM and FCTM advance all rows as one stack, so a failure
+    in any row raises for the whole stack.  FCTM's history sum is a BLAS
+    product over the R*d columns; with OpenBLAS on x86-64 it matched the
+    one-start runs bit for bit for d = 8, 12 and 24, and to about 1e-15
+    relative for d = 10.  CGM (adaptive steps would couple the rows) and
+    FGDM (scalar only) run the rows one at a time.
     """
     return _RUNNERS[cfg.method](objective, np.atleast_2d(np.asarray(starts, dtype=float)),
                                 cfg, stop)

@@ -1,4 +1,4 @@
-"""Special functions: Euler gamma and the two-parameter Mittag-Leffler function.
+"""Special functions: the two-parameter Mittag-Leffler function.
 
 E_{alpha,beta}(z) = sum_{k>=0} z^k / Gamma(alpha*k + beta) is evaluated in
 double precision for 0 < alpha, beta <= 2, the order range of the solver,
@@ -32,9 +32,9 @@ import math
 
 import numpy as np
 
-from .errors import GammaPoleError, MittagLefflerError, OrderRangeError
+from .errors import MittagLefflerError, OrderRangeError
 
-__all__ = ["gamma", "mittag_leffler"]
+__all__ = ["mittag_leffler"]
 
 _EPS = 2.220446049250313e-16
 _LOG_EPS = math.log(_EPS)
@@ -49,18 +49,6 @@ _SERIES_TERMS = 56
 _LOG_TARGET = math.log(1e-15)
 _MAX_NODES = 200
 _BLOCK_NODES = 32 * (_MAX_NODES + 1)
-
-
-def gamma(x: float) -> float:
-    """Euler gamma function on the real line.
-
-    Delegates to the C library implementation, which is accurate to a few
-    ulp across [-170, 170]; poles raise :class:`GammaPoleError` instead of
-    the bare ``ValueError`` the stdlib produces.
-    """
-    if x <= 0 and float(x).is_integer():
-        raise GammaPoleError(x)
-    return math.gamma(x)
 
 
 def _recip_gamma(x: float) -> float:

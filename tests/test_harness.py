@@ -11,7 +11,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import fracopt.harness as harness
@@ -473,8 +473,16 @@ def spec_texts(draw) -> tuple[str, bool, str | None]:
     return text, not defects, foreign if defects == ["foreign"] else None
 
 
+FGDM_SPEC = ("[experiment]\nproblem = quadratic\n\n[method.f]\nmethod = fgdm\n"
+             "alpha = 0.9\nomega = 0.1\nk_max = 5\n")
+
+
 @settings(derandomize=True, database=None, deadline=None, max_examples=200)
 @given(drawn=spec_texts())
+# values rejected under their field names, which the file did not write
+@example(drawn=(FGDM_SPEC + "operator = grunwald\n", False, None))
+@example(drawn=(FGDM_SPEC + "window_lower = nan\n", False, None))
+@example(drawn=(FGDM_SPEC + "window_length = 0\n", False, None))
 def test_spec_grammar(tmp_path_factory, drawn):
     # every drawn spec exits 0, 2 or 3 and writes no summary on exit 2; the
     # valid base runs; a rejected key is named as the file writes it
@@ -493,6 +501,13 @@ def test_spec_grammar(tmp_path_factory, drawn):
     for listed in re.findall(r"unknown keys \[(.*?)\]", err.getvalue()):
         named += re.findall(r"'(\w+)'", listed)
     assert set(named) <= written, (named, text)
+    # a field whose key differs is never named, and a rejected value is
+    # named by a key the file wrote; quoted text is a value as written
+    renamed = {field for table in (harness._METHOD_KEYS, harness._EXPERIMENT_KEYS)
+               for key, (_, field, _) in table.items() if field != key}
+    words = set(re.findall(r"\w+", re.sub(r"'[^']*'", "", err.getvalue())))
+    assert not words & renamed, (err.getvalue(), text)
+    assert set(re.findall(r"\]: (\w+) must be", err.getvalue())) <= written, (err.getvalue(), text)
     if foreign is not None:
         assert code == EXIT_CONFIG and named == [foreign], (err.getvalue(), text)
 
@@ -579,6 +594,21 @@ class TestReproduceTargets:
         calls = count_fctm_stacks(monkeypatch)
         assert main(["--out", str(tmp_path), "reproduce", "fig4"]) == EXIT_OK
         assert calls == [1] * 5
+
+    def test_table1_summary_written_once_with_its_note(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(harness, "TABLE1_HORIZON", 20.0)
+        written = []
+        write_summary = harness._write_summary
+
+        def counted(path, *args):
+            written.append(path.name)
+            write_summary(path, *args)
+
+        monkeypatch.setattr(harness, "_write_summary", counted)
+        assert main(["--out", str(tmp_path), "reproduce", "table1"]) == EXIT_OK
+        assert written == ["table1__summary.csv"]
+        note = (tmp_path / "table1__summary.csv").read_text().splitlines()[0]
+        assert note.startswith("# residual-vs-order comparison; horizon=20 h=2 ")
 
     def test_unknown_target(self, tmp_path):
         from fracopt.harness import reproduce
@@ -780,6 +810,19 @@ class TestCli:
         with open(tmp_path / "big__summary.csv", newline="") as fh:
             (row,) = csv.DictReader(fh)
         assert row["status"] == "diverged: 1000000000000000 steps do not fit in memory"
+
+    def test_overflowed_metric_at_finite_states_is_a_failed_cell(self, tmp_path, capsys):
+        # the PECE states stay finite to t = 10 (near -3e173 at the end), but the
+        # residual overflows from t = 8.9: the cell diverges there, with no warning
+        path = tmp_path / "vand.ini"
+        path.write_text("[experiment]\nname = vand\nproblem = vandermonde\ndegree = 4\n\n"
+                        "[method.f]\nmethod = fctm\nalpha = 0.5\ngain = 1.0\nh = 0.05\n"
+                        "t_end = 10.0\n")
+        assert main(["--out", str(tmp_path), "run", str(path)]) == EXIT_DIVERGED
+        assert capsys.readouterr().err == ""
+        with open(tmp_path / "vand__summary.csv", newline="") as fh:
+            (row,) = csv.DictReader(fh)
+        assert row["status"] == "diverged: nonfinite state or metric at t = 8.9"
 
     def test_unusable_out_is_config_error(self, tmp_path, capsys, monkeypatch):
         # an --out that is a file, or lies under one, is named before any cell runs

@@ -14,8 +14,9 @@ from fracopt.errors import (
     OperatorDomainError,
     OrderRangeError,
     SingularPairError,
+    SolverDivergenceError,
 )
-from fracopt.fdesolve import linear_relaxation_solution
+from fracopt.fdesolve import Trajectory, TrajectoryStats, linear_relaxation_solution
 from fracopt import optimizers
 from fracopt.fracops import MemoryWindow
 from fracopt.optimizers import (
@@ -163,6 +164,13 @@ class TestGdm:
             optimizers._descend(QUAD, np.array([[1.0]]), StoppingRule(k_max=10), step)
         assert err.value.iteration == 1
 
+    def test_overflowed_start_cost_fails_at_iteration_zero(self):
+        # (1e200 - 3)^2 overflows while the descent itself converges
+        cfg = OptimizerConfig(method=Method.GDM, omega=0.1)
+        with pytest.raises(IterationDivergenceError) as err:
+            run_gdm(QUAD, np.array([1e200]), cfg, StoppingRule(k_max=50))
+        assert err.value.iteration == 0
+
     def test_fixed_point_stays(self):
         cfg = OptimizerConfig(method=Method.GDM, omega=0.1)
         res = run_gdm(QUAD, np.array([3.0]), cfg, StoppingRule(k_max=50))
@@ -272,6 +280,18 @@ class TestFctm:
         cfg = OptimizerConfig(method=Method.CGM, gain=1.0, t_end=5.0, h=1e-2)
         res = run_fctm(QUAD, np.array([1.0]), cfg)
         assert res.converged_to[0] == pytest.approx(3.0 - 2.0 * math.exp(-10.0), abs=1e-6)
+
+    @pytest.mark.parametrize("j", [0, 3])
+    def test_overflowed_metric_at_finite_states_fails_there(self, j):
+        times = np.linspace(0.0, 0.5, 6)
+        states = np.full((6, 1), 3.0)
+        states[j:, 0] = 1e200  # finite, but the metric (u - 3)^2 overflows
+        traj = Trajectory(times=times, states=states,
+                          stats=TrajectoryStats(steps=5, field_evaluations=0))
+        squared = dataclasses.replace(QUAD, progress_metric=QUAD.f)
+        with pytest.raises(SolverDivergenceError) as err:
+            optimizers._wrap_result(squared, StoppingRule(), traj, 0, 0.0)
+        assert err.value.t == times[j]
 
     def test_cost_counts_field_evaluations(self):
         # PECE calls the field once at the start and twice per step

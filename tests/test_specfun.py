@@ -9,26 +9,27 @@ import pytest
 
 from fracopt import _selfcheck as sc
 from fracopt import specfun
-from fracopt.errors import GammaPoleError, MittagLefflerError, OrderRangeError, SolverConfigError
+from fracopt.errors import MittagLefflerError, OrderRangeError, SolverConfigError
 from fracopt.fdesolve import FdeProblem, linear_relaxation_solution
-from fracopt.specfun import gamma, mittag_leffler
+from fracopt.specfun import _recip_gamma, mittag_leffler
 
 SQRT_PI = 1.7724538509055160
 
 
 class TestGamma:
+    """The reciprocal gamma function of the power rules, and the gamma
+    recurrence that ``fracopt check`` runs."""
+
     def test_factorials(self):
-        assert gamma(1.0) == 1.0
-        assert gamma(5.0) == 24.0
+        assert _recip_gamma(1.0) == 1.0
+        assert _recip_gamma(5.0) == 1.0 / 24.0
 
     def test_half(self):
-        assert gamma(0.5) == pytest.approx(SQRT_PI, abs=1e-15)
+        assert _recip_gamma(0.5) == pytest.approx(1.0 / SQRT_PI, abs=1e-15)
 
     @pytest.mark.parametrize("pole", [0.0, -1.0, -2.0, -37.0])
-    def test_poles_raise(self, pole):
-        with pytest.raises(GammaPoleError) as err:
-            gamma(pole)
-        assert f"{pole:g}" in str(err.value)
+    def test_poles_are_zeros(self, pole):
+        assert _recip_gamma(pole) == 0.0
 
     def test_recurrence(self, rng):
         assert sc.gamma_recurrence_error(rng.uniform(0.1, 20.0, 200)) <= sc.GAMMA_RECURRENCE_BOUND
@@ -43,8 +44,8 @@ class TestGamma:
             for x in xs:
                 if x <= 0 and float(x).is_integer():
                     continue
-                ref = float(mpmath.gamma(x))
-                assert gamma(float(x)) == pytest.approx(ref, rel=1e-12)
+                ref = float(mpmath.rgamma(x))
+                assert _recip_gamma(float(x)) == pytest.approx(ref, rel=1e-12)
 
 
 class TestMittagLeffler:
@@ -53,7 +54,7 @@ class TestMittagLeffler:
 
     def test_zero_argument_normalization(self):
         assert mittag_leffler(0.9, 1.0, 0.0) == 1.0
-        assert mittag_leffler(0.7, 2.0, 0.0) == pytest.approx(1.0 / gamma(2.0), abs=0)
+        assert mittag_leffler(0.7, 2.0, 0.0) == pytest.approx(1.0 / math.gamma(2.0), abs=0)
 
     def test_cosine_zero(self):
         z = -((math.pi / 2.0) ** 2)
