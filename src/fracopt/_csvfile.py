@@ -2,8 +2,10 @@
 
 Cells: ``None`` is empty, a number is the ``repr`` of the Python value
 (full-precision floats), and a string is written as is, or quoted by RFC 4180
-if it holds ``,``, ``"``, CR or LF.  Array rows must arrive through
-``ndarray.tolist`` so NumPy scalar reprs never reach the file.
+if it holds ``,``, ``"``, CR or LF.  A row of one empty cell is written as
+``""``, since an empty line reads back as a row of no cells.  Array rows
+must arrive through ``ndarray.tolist`` so NumPy scalar reprs never reach
+the file.
 """
 
 from __future__ import annotations
@@ -36,4 +38,5 @@ def write_csv(path, header, rows, note: str | None = None) -> None:
             fh.write(f"# {note}\n")
         fh.write(",".join(header) + "\n")
         for row in rows:
-            fh.write(",".join(map(repr if set(map(type, row)) <= _NUMBERS else _cell, row)) + "\n")
+            fh.write((",".join(map(repr if set(map(type, row)) <= _NUMBERS else _cell, row))
+                      or '""' * (len(row) == 1)) + "\n")

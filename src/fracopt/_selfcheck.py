@@ -17,7 +17,7 @@ import numpy as np
 
 from .fdesolve import FdeProblem, linear_relaxation_solution, solve_pece, solve_reference_ode
 from .fracops import MemoryWindow, Polynomial, caputo_poly_derivative, rl_poly_derivative
-from .optimizers import Method, OptimizerConfig, StoppingRule, run_restarts
+from .optimizers import Method, OptimizerConfig, run_restarts
 from .problems import Objective, make_quadratic
 from .specfun import mittag_leffler
 
@@ -133,9 +133,9 @@ def pece_reference_error(t_end: float) -> float:
 def fgdm_shift_error(alpha: float, k_max: int) -> float:
     """Distance after k_max steps of Caputo FGDM with a fixed lower limit,
     on (u - 3)^2 from u = 1, to the shifted equilibrium 3 (2 - alpha)."""
-    cfg = OptimizerConfig(method=Method.FGDM, alpha=alpha, omega=0.05,
-                          fgdm_operator="caputo", window=MemoryWindow(lower_limit=0.0))
-    res = run_restarts(make_quadratic(3.0), 1.0, cfg, StoppingRule(k_max=k_max))[0]
+    cfg = OptimizerConfig(method=Method.FGDM, alpha=alpha, omega=0.05, fgdm_operator="caputo",
+                          window=MemoryWindow(lower_limit=0.0), k_max=k_max)
+    res = run_restarts(make_quadratic(3.0), 1.0, cfg)[0]
     return abs(float(res.converged_to[0]) - 3.0 * (2.0 - alpha))
 
 

@@ -31,7 +31,6 @@ from .optimizers import (
     Method,
     OptimizerConfig,
     RunResult,
-    StoppingRule,
     oscillation_census,
     run_restarts,
 )
@@ -112,12 +111,6 @@ class ProblemSpec:
 class MethodSpec:
     label: str
     cfg: OptimizerConfig
-    k_max: int | None = None
-    epsilon: float | None = None
-
-    def __post_init__(self) -> None:
-        # each cell's StoppingRule gets these; it owns their rule
-        StoppingRule(epsilon=self.epsilon, k_max=self.k_max)
 
 
 @dataclass(frozen=True)
@@ -139,8 +132,12 @@ class ExperimentSpec:
                 raise ConfigError(f"name or label {part!r} is empty or contains '/' or '\\'")
         if dups := sorted({label for label in labels if labels.count(label) > 1}):
             raise ConfigError(f"label {dups[0]!r} names more than one method")
-        # every cell's StoppingRule gets these thresholds; it owns their rule
-        object.__setattr__(self, "thresholds", StoppingRule(thresholds=self.thresholds).thresholds)
+        thresholds = tuple(float(t) for t in self.thresholds)
+        if any(b >= a for a, b in zip(thresholds, thresholds[1:])):
+            raise ConfigError("thresholds must be strictly decreasing")
+        if not all(map(math.isfinite, thresholds)):
+            raise ConfigError("thresholds must be finite")
+        object.__setattr__(self, "thresholds", thresholds)
         if self.restarts < 1:
             raise ConfigError("restarts must be >= 1")
         if self.base_seed < 0:
@@ -213,11 +210,12 @@ def _run_method(spec: ExperimentSpec, mspec: MethodSpec) -> list[RunResult | Fra
     its restarts rerun one by one, so each failure is recorded in its own
     cell and the other restarts still complete.  An error is kept without
     its traceback, whose frames would hold the solver's arrays."""
-    stop = StoppingRule(epsilon=mspec.epsilon, k_max=mspec.k_max, thresholds=spec.thresholds)
-
     def solve(restarts):
-        objective, starts = _build_problem(spec.problem, restarts, spec.base_seed)
-        return run_restarts(objective, starts, mspec.cfg, stop)
+        try:
+            objective, starts = _build_problem(spec.problem, restarts, spec.base_seed)
+        except MemoryError:  # a problem size numpy refuses fails its cells
+            raise ConfigError(f"the {spec.problem.kind} problem does not fit in memory") from None
+        return run_restarts(objective, starts, mspec.cfg, spec.thresholds)
 
     try:
         return solve(range(spec.restarts))
@@ -363,8 +361,8 @@ _METHOD_KEYS = {
     "operator": (OptimizerConfig, "fgdm_operator", str),
     "window_lower": (MemoryWindow, "lower_limit", float),
     "window_length": (MemoryWindow, "memory_length", float),
-    "k_max": (MethodSpec, "k_max", int),
-    "epsilon": (MethodSpec, "epsilon", float),
+    "k_max": (OptimizerConfig, "k_max", int),
+    "epsilon": (OptimizerConfig, "epsilon", float),
 }
 
 
@@ -400,12 +398,12 @@ def _method_spec(name: str, kwargs: dict) -> MethodSpec:
     takes = {"method", "alpha", *need, *optional}
     for key, (target, field_name, _) in _METHOD_KEYS.items():
         parameter = "window" if target is MemoryWindow else field_name
-        if target is not MethodSpec and field_name in kwargs[target] and parameter not in takes:
+        if field_name in kwargs[target] and parameter not in takes:
             raise ConfigError(f"{key} is not a {method.value} key")
     if method is Method.FGDM:  # FGDM's defaults
         cfg.setdefault("fgdm_operator", "caputo")
         cfg["window"] = MemoryWindow(**kwargs[MemoryWindow])
-    return MethodSpec(name.removeprefix("method."), OptimizerConfig(**cfg), **kwargs[MethodSpec])
+    return MethodSpec(name.removeprefix("method."), OptimizerConfig(**cfg))
 
 
 def parse_spec_file(path: str | Path) -> ExperimentSpec:
@@ -454,13 +452,13 @@ def _reproduce_fig1(out: Path, seed: int, workers: int):
     # one-dimensional quadratic: GDM, FGDM (RL and Caputo) and FCTM at order 0.9
     window = MemoryWindow(lower_limit=0.0)
     methods = (
-        MethodSpec("gdm", OptimizerConfig(method=Method.GDM, omega=0.05), k_max=400),
+        MethodSpec("gdm", OptimizerConfig(method=Method.GDM, omega=0.05, k_max=400)),
         MethodSpec("fgdm-rl-a0.9", OptimizerConfig(
-            method=Method.FGDM, alpha=0.9, omega=0.05, fgdm_operator="rl", window=window),
-            k_max=400),
+            method=Method.FGDM, alpha=0.9, omega=0.05, fgdm_operator="rl", window=window,
+            k_max=400)),
         MethodSpec("fgdm-caputo-a0.9", OptimizerConfig(
-            method=Method.FGDM, alpha=0.9, omega=0.05, fgdm_operator="caputo", window=window),
-            k_max=400),
+            method=Method.FGDM, alpha=0.9, omega=0.05, fgdm_operator="caputo", window=window,
+            k_max=400)),
         _fctm("fctm-a0.9", 0.9, gain=1.0, h=1e-3, t_end=20.0),
     )
     return run_experiment(_quadratic_spec("fig1", methods, seed), out, workers)
@@ -569,8 +567,8 @@ def _reproduce_table2(out: Path, seed: int, workers: int):
     best_rows = []
     for n in (4, 5, 6, 12):
         methods = (
-            MethodSpec("gdm", OptimizerConfig(method=Method.GDM, omega=TABLE2_GDM_OMEGA),
-                       k_max=TABLE2_GDM_KMAX),
+            MethodSpec("gdm", OptimizerConfig(method=Method.GDM, omega=TABLE2_GDM_OMEGA,
+                                              k_max=TABLE2_GDM_KMAX)),
             _fctm("fctm-a0.7", 0.7, gain=1.0, h=TABLE2_H, t_end=TABLE2_T_END),
         )
         spec = ExperimentSpec(

@@ -14,7 +14,9 @@ Four update rules:
   equilibria coincide with the stationary points of f.
 
 First-passage statistics (earliest time/iteration with the progress
-metric below a threshold) are recorded for every run.  ``run_restarts``
+metric below a threshold) are recorded for every run.  GDM and FGDM stop
+after ``k_max`` iterations or once the metric is below ``epsilon``, the
+discrete counterparts of the flows' horizon ``t_end``.  ``run_restarts``
 runs one method's runner from a stack of start points; GDM and FCTM
 advance the whole stack at once.
 """
@@ -24,7 +26,7 @@ from __future__ import annotations
 import enum
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Callable, Sequence
 
 import numpy as np
@@ -47,7 +49,6 @@ from .specfun import mittag_leffler
 __all__ = [
     "Method",
     "OptimizerConfig",
-    "StoppingRule",
     "DiscreteTrace",
     "RunResult",
     "run_gdm",
@@ -86,9 +87,9 @@ class Method(enum.Enum):
 
 # the OptimizerConfig fields each method requires, and those it also takes
 _PARAMETERS = {
-    Method.GDM: (("omega",), ()),
+    Method.GDM: (("omega",), ("k_max", "epsilon")),
     Method.CGM: (("gain", "t_end"), ("h",)),
-    Method.FGDM: (("omega", "fgdm_operator", "window"), ()),
+    Method.FGDM: (("omega", "fgdm_operator", "window"), ("k_max", "epsilon")),
     Method.FCTM: (("gain", "h", "t_end"), ("v0",)),
 }
 
@@ -98,8 +99,9 @@ class OptimizerConfig:
     """Method selection plus exactly the gains that method needs.
 
     omega is the discrete step size (GDM/FGDM); gain is the flow gain
-    (CGM/FCTM).  Setting a field the chosen method does not use is a
-    configuration error.
+    (CGM/FCTM).  GDM/FGDM stop after k_max iterations (default 20000) or
+    once the progress metric is below epsilon.  Setting a field the chosen
+    method does not use is a configuration error.
     """
 
     method: Method
@@ -111,11 +113,13 @@ class OptimizerConfig:
     h: float | None = None
     t_end: float | None = None
     v0: float | None = None
+    k_max: int | None = None
+    epsilon: float | None = None
 
     def __post_init__(self) -> None:
         m = self.method
         need, optional = _PARAMETERS[m]
-        for name in ("omega", "gain", "fgdm_operator", "window", "h", "t_end", "v0"):
+        for name in (f.name for f in fields(self)[2:]):  # all but method and alpha
             value = getattr(self, name)
             if name in need and value is None:
                 raise ConfigError(f"{m.value} requires {name}")
@@ -129,6 +133,10 @@ class OptimizerConfig:
             raise ConfigError("v0 must be one float, shared by every coordinate")
         if self.v0 is not None and not math.isfinite(self.v0):
             raise ConfigError("v0 must be finite")
+        if self.epsilon is not None and not math.isfinite(self.epsilon):
+            raise ConfigError("epsilon must be finite")
+        if self.k_max is not None and self.k_max < 0:
+            raise ConfigError(f"k_max must be >= 0, got {self.k_max}")
         if m in (Method.GDM, Method.CGM) and self.alpha != 1.0:
             raise ConfigError(f"{m.value} runs at alpha = 1")
         if m is Method.FGDM and not 0 < self.alpha <= 1:
@@ -148,33 +156,6 @@ class OptimizerConfig:
                 step_count(self.t_end, self.h)
             except SolverConfigError as exc:
                 raise ConfigError(str(exc)) from None
-
-
-@dataclass(frozen=True)
-class StoppingRule:
-    """Union of stop conditions: metric < epsilon, k >= k_max.
-
-    ``thresholds`` are the first-passage levels recorded along the way
-    (strictly decreasing).  Continuous methods integrate their configured
-    horizon and evaluate epsilon on the stored grid; if epsilon is never
-    reached the run is reported non-converged with the best state seen.
-    """
-
-    epsilon: float | None = None
-    k_max: int | None = None
-    thresholds: tuple[float, ...] = ()
-
-    def __post_init__(self) -> None:
-        thr = tuple(float(t) for t in self.thresholds)
-        if any(b >= a for a, b in zip(thr, thr[1:])):
-            raise ConfigError("thresholds must be strictly decreasing")
-        if not all(map(math.isfinite, thr)):
-            raise ConfigError("thresholds must be finite")
-        if self.epsilon is not None and not math.isfinite(self.epsilon):
-            raise ConfigError("epsilon must be finite")
-        if self.k_max is not None and self.k_max < 0:
-            raise ConfigError(f"k_max must be >= 0, got {self.k_max}")
-        object.__setattr__(self, "thresholds", thr)
 
 
 @dataclass(frozen=True)
@@ -206,7 +187,6 @@ class RunResult:
     first_passage: dict[float, float]
     final_metric: float
     converged_to: np.ndarray
-    converged: bool
     field_evaluations: int
     wall_seconds: float
 
@@ -226,7 +206,7 @@ def first_passages(
 
 def _wrap_result(
     objective: Objective,
-    stop: StoppingRule,
+    thresholds: Sequence[float],
     history: Trajectory | DiscreteTrace,
     nfev: int,
     wall: float,
@@ -247,17 +227,12 @@ def _wrap_result(
     if not finite.all():
         j = int(np.argmin(finite))
         raise IterationDivergenceError(j) if trace is None else SolverDivergenceError(float(times[j]))
-    passages = first_passages(times, metrics, stop.thresholds)
-    # a run that never reached epsilon reports the best state it saw
-    converged = stop.epsilon is None or bool(np.any(metrics < stop.epsilon))
-    converged_to = states[-1] if converged else states[int(np.argmin(metrics))]
     return RunResult(
         trace=trace,
         iterations=iterations,
-        first_passage=passages,
+        first_passage=first_passages(times, metrics, thresholds),
         final_metric=float(metrics[-1]),
-        converged_to=np.array(converged_to),
-        converged=converged,
+        converged_to=np.array(states[-1]),
         field_evaluations=nfev, wall_seconds=wall,
     )
 
@@ -265,11 +240,12 @@ def _wrap_result(
 def _descend(
     objective: Objective,
     starts: np.ndarray,
-    stop: StoppingRule,
+    cfg: OptimizerConfig,
+    thresholds: Sequence[float],
     step: Callable[[int, np.ndarray], tuple[np.ndarray, np.ndarray | bool]],
 ) -> list[RunResult]:
-    """Iterate a discrete rule from each row of ``starts`` (R, d) until a
-    stop condition holds for that row; one result per row.
+    """Iterate a discrete rule from each row of ``starts`` (R, d) until
+    ``cfg``'s stop condition holds for that row; one result per row.
 
     ``step(k, u)`` takes the stack of the rows that still run and returns
     their next iterates (a new array) and which rows have settled: False for
@@ -277,7 +253,7 @@ def _descend(
     the stored iterates.
     """
     t0 = time.perf_counter()
-    k_max = stop.k_max if stop.k_max is not None else _DEFAULT_K_MAX
+    k_max = cfg.k_max if cfg.k_max is not None else _DEFAULT_K_MAX
     n_rows, d = starts.shape
     # row-major per start, so each row's trace is a contiguous view; the
     # buffer doubles as the run goes, so an early stop never pays for k_max
@@ -300,8 +276,8 @@ def _descend(
     with np.errstate(over="ignore", invalid="ignore"):
         try:
             for k in range(k_max):
-                if stop.epsilon is not None and not retire(
-                        objective.progress_metric(u) < stop.epsilon, k):
+                if cfg.epsilon is not None and not retire(
+                        objective.progress_metric(u) < cfg.epsilon, k):
                     break
                 u, settled = step(k, u)
                 if not np.isfinite(u).all():
@@ -318,7 +294,7 @@ def _descend(
     wall = (time.perf_counter() - t0) / n_rows  # an equal share per row
     # one step per iterate after the start; wrapping raises a cost that
     # overflowed at a finite state before the failure that ended the loop
-    results = [_wrap_result(objective, stop,
+    results = [_wrap_result(objective, thresholds,
                             DiscreteTrace(iterates=iterates[i, :e + 1], costs=costs[i]),
                             int(e), wall)
                for i, e in enumerate(last)]
@@ -328,13 +304,13 @@ def _descend(
 
 
 def _gdm(objective: Objective, starts: np.ndarray, cfg: OptimizerConfig,
-         stop: StoppingRule) -> list[RunResult]:
-    return _descend(objective, starts, stop,
+         thresholds: Sequence[float]) -> list[RunResult]:
+    return _descend(objective, starts, cfg, thresholds,
                     lambda k, u: (u - cfg.omega * objective.gradient(u), False))
 
 
 def _cgm(objective: Objective, starts: np.ndarray, cfg: OptimizerConfig,
-         stop: StoppingRule) -> list[RunResult]:
+         thresholds: Sequence[float]) -> list[RunResult]:
     """CGM from each row of ``starts`` in turn, by the adaptive
     integer-order reference solver, whose steps would couple a stack."""
     results = []
@@ -346,13 +322,13 @@ def _cgm(objective: Objective, starts: np.ndarray, cfg: OptimizerConfig,
                              u0=u0, t_end=cfg.t_end, h=cfg.h or cfg.t_end / 2)
         t_eval = uniform_grid(cfg.t_end, problem.h) if cfg.h else None
         traj = solve_reference_ode(problem, t_eval=t_eval)
-        results.append(_wrap_result(objective, stop, traj, traj.stats.field_evaluations,
+        results.append(_wrap_result(objective, thresholds, traj, traj.stats.field_evaluations,
                                     time.perf_counter() - t0))
     return results
 
 
 def _fgdm(objective: Objective, starts: np.ndarray, cfg: OptimizerConfig,
-          stop: StoppingRule) -> list[RunResult]:
+          thresholds: Sequence[float]) -> list[RunResult]:
     """FGDM from the first coordinate of each row of ``starts`` in turn, by
     the exact power rule of the polynomial objective at the window's limit."""
     poly, alpha, omega, window = objective.polynomial, cfg.alpha, cfg.omega, cfg.window
@@ -372,11 +348,11 @@ def _fgdm(objective: Objective, starts: np.ndarray, cfg: OptimizerConfig,
         # settled at the operator zero to machine precision
         return np.array([[x_next]]), np.array([abs(omega * d) < 1e-14 * max(1.0, abs(x_next))])
 
-    return [_descend(objective, u0[None, :1], stop, step)[0] for u0 in starts]
+    return [_descend(objective, u0[None, :1], cfg, thresholds, step)[0] for u0 in starts]
 
 
 def _fctm(objective: Objective, starts: np.ndarray, cfg: OptimizerConfig,
-          stop: StoppingRule) -> list[RunResult]:
+          thresholds: Sequence[float]) -> list[RunResult]:
     """FCTM from each row of ``starts`` (R, d) as one PECE solve of the
     flattened R*d state; the rows share the grid and the weights and are
     otherwise independent."""
@@ -401,7 +377,7 @@ def _fctm(objective: Objective, starts: np.ndarray, cfg: OptimizerConfig,
     wall = (time.perf_counter() - t0) / n_rows  # an equal share per row
     nfev = traj.stats.field_evaluations  # per row: each call advances every row
     # a row's columns are a view; one row's are the whole contiguous array
-    return [_wrap_result(objective, stop,
+    return [_wrap_result(objective, thresholds,
                          Trajectory(times=traj.times, states=traj.states[:, i * d:(i + 1) * d],
                                     stats=traj.stats), nfev, wall)
             for i in range(n_rows)]
@@ -414,10 +390,11 @@ def run_restarts(
     objective: Objective,
     starts: np.ndarray,
     cfg: OptimizerConfig,
-    stop: StoppingRule = StoppingRule(),
+    thresholds: Sequence[float] = (),
 ) -> list[RunResult]:
     """Run ``cfg``'s method from each row of ``starts`` (R, d); one result
-    per row, each equal to the one-start run of that row.
+    per row, each equal to the one-start run of that row, with the first
+    passages below ``thresholds`` and the final state as ``converged_to``.
 
     Each method has its runner; for every method, a row whose state, cost
     or metric is not finite raises a divergence error at that time or
@@ -429,26 +406,26 @@ def run_restarts(
     FGDM (scalar only) run the rows one at a time.
     """
     return _RUNNERS[cfg.method](objective, np.atleast_2d(np.asarray(starts, dtype=float)),
-                                cfg, stop)
+                                cfg, thresholds)
 
 
 def run_gdm(
     objective: Objective,
     u0: np.ndarray,
     cfg: OptimizerConfig,
-    stop: StoppingRule = StoppingRule(),
+    thresholds: Sequence[float] = (),
 ) -> RunResult:
     """Discrete steepest descent with fixed step size."""
     if cfg.method is not Method.GDM:
         raise ConfigError("run_gdm requires a gdm configuration")
-    return run_restarts(objective, u0, cfg, stop)[0]
+    return run_restarts(objective, u0, cfg, thresholds)[0]
 
 
 def run_fctm(
     objective: Objective,
     u0: np.ndarray,
     cfg: OptimizerConfig,
-    stop: StoppingRule = StoppingRule(),
+    thresholds: Sequence[float] = (),
 ) -> RunResult:
     """Integrate the descent flow D^alpha_t u = -gain grad f(u).
 
@@ -458,7 +435,7 @@ def run_fctm(
     """
     if cfg.method not in (Method.FCTM, Method.CGM):
         raise ConfigError("run_fctm requires an fctm or cgm configuration")
-    return run_restarts(objective, u0, cfg, stop)[0]
+    return run_restarts(objective, u0, cfg, thresholds)[0]
 
 
 def stability_envelope_check(

@@ -1,23 +1,27 @@
 """Acceptance suite: one test per criterion, each printing a PASS/FAIL line.
 
 Run with `pytest tests/test_acceptance.py -v -s` to see the per-criterion
-lines as they complete.  The module takes about 35 s on a shared 2-vCPU
+lines as they complete.  The module takes about 40 s on a shared 2-vCPU
 Xeon machine, most of it in the seeded point-charge restarts (criterion
-6, 14-18 s) and the shared-horizon residual comparison (criterion 5,
-12-15 s).  Criteria 2, 3, 7 and 8 call the invariant checks of
+6, 14-18 s) and table 1's five full-horizon flows, which criterion 5
+and the closed-form check share (14-17 s, each flow solved once).
+Criteria 2, 3, 7 and 8 call the invariant checks of
 fracopt._selfcheck, which `fracopt check` runs on smaller cases against
 the same bounds.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
+import pytest
 
 from fracopt import _selfcheck as sc
 from fracopt.fracops import MemoryWindow, Polynomial
 from fracopt.harness import (
+    TABLE1_ALPHAS,
     TABLE1_H,
     TABLE1_HORIZON,
     dominant_mode_target,
@@ -26,7 +30,7 @@ from fracopt.harness import (
 from fracopt.optimizers import (
     Method,
     OptimizerConfig,
-    StoppingRule,
+    RunResult,
     oscillation_census,
     run_fctm,
     run_restarts,
@@ -38,6 +42,7 @@ from fracopt.problems import (
     make_thomson,
     make_vandermonde,
 )
+from fracopt.specfun import mittag_leffler
 
 QUAD = make_quadratic(3.0)
 
@@ -60,8 +65,7 @@ def fctm(alpha, gain, h, t_end, v0=None):
 
 
 def test_criterion_1_quadratic_timing():
-    stop = StoppingRule(thresholds=(3e-3,))
-    res = run_fctm(QUAD, np.array([1.0]), fctm(1.2, TIMING_GAIN, 1e-3, 12.0), stop)
+    res = run_fctm(QUAD, np.array([1.0]), fctm(1.2, TIMING_GAIN, 1e-3, 12.0), (3e-3,))
     passage = res.first_passage.get(3e-3)
     ok_12 = passage is not None and abs(passage - 8.4) <= 0.15 * 8.4
 
@@ -88,8 +92,8 @@ def test_criterion_2_fgdm_misconvergence():
         h = 1e-3
         window = MemoryWindow(lower_limit=0.0, memory_length=h)
         cfg = OptimizerConfig(method=Method.FGDM, alpha=alpha, omega=0.05,
-                              fgdm_operator="caputo", window=window)
-        res = run_restarts(QUAD, 1.0, cfg, StoppingRule(k_max=20000))[0]
+                              fgdm_operator="caputo", window=window, k_max=20000)
+        res = run_restarts(QUAD, 1.0, cfg)[0]
         wgap = abs(float(res.converged_to[0]) - (3.0 + h * (1 - alpha) / (2 - alpha)))
         ok &= wgap <= 5e-4
         details.append(f"windowed gap {wgap:.2e}")
@@ -128,14 +132,24 @@ def test_criterion_4_stability_envelope_and_oscillations():
     report("4 stability envelope + oscillations", ok, "; ".join(details))
 
 
+TABLE1_GAIN = 0.001
+
+
+@functools.cache
+def table1_run(alpha: float) -> RunResult:
+    """Table 1's flow at order ``alpha`` over its full horizon, solved once
+    per pytest run: from the origin towards the dominant-modes target of
+    the degree-10 interpolation system, with passages below 0.1 and 0.01."""
+    obj, _ = make_vandermonde(10, u_true=dominant_mode_target(10))
+    cfg = fctm(alpha, gain=TABLE1_GAIN, h=TABLE1_H, t_end=TABLE1_HORIZON)
+    return run_fctm(obj, np.zeros(11), cfg, (0.1, 0.01))
+
+
 def test_criterion_5_shared_horizon_residual_comparison():
-    target = dominant_mode_target(10)
-    obj, _spec = make_vandermonde(10, u_true=target)
     finals = {}
     passages = {}
     for alpha in (0.8, 1.0, 1.2, 1.4):
-        cfg = fctm(alpha, gain=0.001, h=TABLE1_H, t_end=TABLE1_HORIZON)
-        res = run_fctm(obj, np.zeros(11), cfg, StoppingRule(thresholds=(0.1, 0.01)))
+        res = table1_run(alpha)
         finals[alpha] = res.final_metric
         passages[alpha] = res.first_passage
 
@@ -160,6 +174,43 @@ def test_criterion_5_shared_horizon_residual_comparison():
         f"t<0.1={t01}, t<0.01={t001}, ratio={ratio:.1f}, "
         f"r(0.8)={finals[0.8]:.2e} vs r(1.0)={finals[1.0]:.2e}",
     )
+
+
+def table1_closed_form(alpha: float) -> float:
+    """Table 1's residual at its horizon from the closed form of the linear
+    flow D^alpha u = -2 g X^T X (u - u*) from u0 = 0 (v0 = 0 above order 1):
+    r(t)^2 = sum_i (sigma_i E_alpha(-2 g sigma_i^2 t^alpha) c_i)^2, with
+    X = U Sigma V^T and c = V^T (u0 - u*).  For u0 = 0 the residual needs
+    only these well-conditioned products, so a float64 SVD is enough."""
+    target = dominant_mode_target(10)
+    _, spec = make_vandermonde(10, u_true=target)
+    _, sigma, vt = np.linalg.svd(spec.matrix)
+    c = vt @ (0.0 - target)
+    decay = mittag_leffler(alpha, 1.0, -2.0 * TABLE1_GAIN * sigma**2 * TABLE1_HORIZON**alpha)
+    return float(np.sqrt(np.sum((sigma * decay * c) ** 2)))
+
+
+def test_table1_closed_form_matches_40_digit_evaluation():
+    # the same closed form with a 40-digit mpmath SVD, rounded to 11 digits
+    reference = {0.8: 1.1089765528e-2, 1.0: 2.3767924163e-3, 1.2: 1.8126125153e-4,
+                 1.4: 2.8019361642e-5, 1.6: 3.2099559612e-6}
+    for alpha in TABLE1_ALPHAS:
+        assert table1_closed_form(alpha) == pytest.approx(reference[alpha], rel=1e-10)
+
+
+# the shipped PECE weights at k ~ 25 000 are off by up to 1.1e-6 relative,
+# and above order 1 that error, not the step, sets the residual: it misses
+# the closed form by -5.7e-5, -5.5e-4 and -8.0e-3 at orders 1.2, 1.4, 1.6
+WEIGHT_ERROR = pytest.mark.xfail(
+    strict=True, reason="PECE weights not correctly rounded (ROADMAP item 1)")
+
+
+@pytest.mark.parametrize("alpha", [a if a <= 1 else pytest.param(a, marks=WEIGHT_ERROR)
+                                   for a in TABLE1_ALPHAS])
+def test_table1_residual_matches_closed_form(alpha):
+    # with exact weights what is left is the discretisation error at h = 2,
+    # 5e-8 to 9e-8 relative; measured here: +8.6e-8 at 0.8, +1.3e-9 at 1.0
+    assert table1_run(alpha).final_metric == pytest.approx(table1_closed_form(alpha), rel=2e-7)
 
 
 def test_criterion_6_point_charge_energies(tmp_path):

@@ -61,7 +61,7 @@ v0 = 0.0
 
 def small_spec(name="small", restarts=1):
     methods = (
-        MethodSpec("gdm", OptimizerConfig(method=Method.GDM, omega=0.1), k_max=200),
+        MethodSpec("gdm", OptimizerConfig(method=Method.GDM, omega=0.1, k_max=200)),
         MethodSpec("fctm-a1.2", OptimizerConfig(
             method=Method.FCTM, alpha=1.2, gain=0.1, h=0.01, t_end=12.0, v0=0.0)),
     )
@@ -77,10 +77,10 @@ def count_fctm_stacks(monkeypatch) -> list:
     calls = []
     run_restarts = harness.run_restarts
 
-    def counted(objective, starts, cfg, stop):
+    def counted(objective, starts, cfg, thresholds):
         if cfg.method is Method.FCTM:
             calls.append(len(starts))
-        return run_restarts(objective, starts, cfg, stop)
+        return run_restarts(objective, starts, cfg, thresholds)
 
     monkeypatch.setattr(harness, "run_restarts", counted)
     return calls
@@ -88,7 +88,7 @@ def count_fctm_stacks(monkeypatch) -> list:
 
 def thomson_spec(n: int, restarts: int = 3) -> ExperimentSpec:
     methods = (
-        MethodSpec("gdm", OptimizerConfig(method=Method.GDM, omega=0.005), k_max=300),
+        MethodSpec("gdm", OptimizerConfig(method=Method.GDM, omega=0.005, k_max=300)),
         MethodSpec("fctm-a0.7", OptimizerConfig(
             method=Method.FCTM, alpha=0.7, gain=1.0, h=0.005, t_end=1.5)),
     )
@@ -101,8 +101,8 @@ def one_by_one(monkeypatch) -> None:
     """Patch the harness's run_restarts to solve each start on its own."""
     run_restarts = harness.run_restarts
 
-    def single(objective, starts, cfg, stop):
-        return [run_restarts(objective, u0[None, :], cfg, stop)[0] for u0 in starts]
+    def single(objective, starts, cfg, thresholds):
+        return [run_restarts(objective, u0[None, :], cfg, thresholds)[0] for u0 in starts]
 
     monkeypatch.setattr(harness, "run_restarts", single)
 
@@ -124,10 +124,10 @@ def fail_when(monkeypatch, fails, error) -> None:
     where ``fails(starts, cfg)`` holds."""
     run_restarts = harness.run_restarts
 
-    def patched(objective, starts, cfg, stop):
+    def patched(objective, starts, cfg, thresholds):
         if fails(starts, cfg):
             raise error
-        return run_restarts(objective, starts, cfg, stop)
+        return run_restarts(objective, starts, cfg, thresholds)
 
     monkeypatch.setattr(harness, "run_restarts", patched)
 
@@ -188,9 +188,9 @@ class TestSpecParsing:
     def test_duplicate_label_rejected(self):
         # both methods would write dup__a__r0.csv, the second over the first
         methods = (
-            MethodSpec("a", OptimizerConfig(method=Method.GDM, omega=0.1), k_max=5),
-            MethodSpec("b", OptimizerConfig(method=Method.GDM, omega=0.3), k_max=5),
-            MethodSpec("a", OptimizerConfig(method=Method.GDM, omega=0.2), k_max=7),
+            MethodSpec("a", OptimizerConfig(method=Method.GDM, omega=0.1, k_max=5)),
+            MethodSpec("b", OptimizerConfig(method=Method.GDM, omega=0.3, k_max=5)),
+            MethodSpec("a", OptimizerConfig(method=Method.GDM, omega=0.2, k_max=7)),
         )
         with pytest.raises(ConfigError, match="label 'a'"):
             ExperimentSpec(name="dup", problem=ProblemSpec(kind="quadratic"), methods=methods)
@@ -265,8 +265,8 @@ class TestRunExperiment:
             assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
 
     def test_thomson_restarts_deterministic(self, tmp_path):
-        methods = (MethodSpec("gdm", OptimizerConfig(method=Method.GDM, omega=0.005),
-                              k_max=300),)
+        methods = (MethodSpec("gdm", OptimizerConfig(method=Method.GDM, omega=0.005,
+                                                     k_max=300)),)
         spec = ExperimentSpec(name="th", problem=ProblemSpec(kind="thomson", charges=4),
                               methods=methods, thresholds=(), restarts=3, base_seed=7)
         ra, _ = run_experiment(spec, tmp_path / "a")
@@ -287,8 +287,8 @@ class TestRunExperiment:
 
     def test_divergent_cell_recorded_not_fatal(self, tmp_path):
         methods = (
-            MethodSpec("bad", OptimizerConfig(method=Method.GDM, omega=1.1), k_max=30000),
-            MethodSpec("good", OptimizerConfig(method=Method.GDM, omega=0.1), k_max=100),
+            MethodSpec("bad", OptimizerConfig(method=Method.GDM, omega=1.1, k_max=30000)),
+            MethodSpec("good", OptimizerConfig(method=Method.GDM, omega=0.1, k_max=100)),
         )
         spec = ExperimentSpec(name="div", problem=ProblemSpec(kind="quadratic", u0=(1.0,)),
                               methods=methods, thresholds=(0.1,))
@@ -385,11 +385,18 @@ TEXT_CELLS = st.one_of(st.none(), st.text(alphabet='ab ,"\r\n'))
 @given(rows=st.lists(st.one_of(st.lists(NUMBER_CELLS, max_size=8),
                                st.lists(st.one_of(NUMBER_CELLS, TEXT_CELLS), max_size=8)),
                      max_size=6))
+# a lone empty cell was an empty line, which csv.reader reads as no cell
+@example(rows=[[None], [""], []])
 def test_csv_rows_written_as_their_cells(tmp_path_factory, rows):
     path = tmp_path_factory.mktemp("csv") / "rows.csv"
     write_csv(path, ["a", "b"], rows)
-    expected = "a,b\n" + "".join(",".join(map(_cell, row)) + "\n" for row in rows)
+    lines = [",".join(map(_cell, row)) or '""' * (len(row) == 1) for row in rows]
+    expected = "a,b\n" + "".join(line + "\n" for line in lines)
     assert path.read_bytes() == expected.encode()
+    # and read back as written: text as is, None as "", a number as its repr
+    written = [["" if c is None else c if isinstance(c, str) else repr(c) for c in row]
+               for row in rows]
+    assert csv_rows(path) == [["a", "b"], *written]
 
 
 # Spec files for the grammar property: a valid base spec, kept small (at
@@ -402,13 +409,14 @@ FOREIGN = {
     "vandermonde": ["c", "charges", "omega"],
     "thomson": ["c", "u0", "degree", "target_rule"],
     "gdm": ["gain", "h", "t_end", "v0", "operator", "window_lower", "window_step"],
-    "cgm": ["omega", "v0", "operator", "window_length", "c"],
+    "cgm": ["omega", "v0", "operator", "window_length", "c", "k_max", "epsilon"],
     "fgdm": ["gain", "h", "t_end", "v0"],
-    "fctm": ["omega", "operator", "window_lower", "window_length"],
+    "fctm": ["omega", "operator", "window_lower", "window_length", "k_max", "epsilon"],
 }
 FOREIGN_VALUES = {"charges": "4", "degree": "2", "target_rule": "alternating", "c": "3.0",
                   "u0": "1.0", "omega": "0.1", "gain": "1.0", "h": "0.1", "t_end": "1.0",
-                  "v0": "0.0", "operator": "rl", "window_lower": "0", "window_length": "1"}
+                  "v0": "0.0", "operator": "rl", "window_lower": "0", "window_length": "1",
+                  "k_max": "5", "epsilon": "0.01"}
 
 
 @st.composite
@@ -432,7 +440,9 @@ def spec_texts(draw) -> tuple[str, bool, str | None]:
     t_end = pick("1.0", "2.0", "10.0")
     methods = ["gdm", "cgm", "fctm"] + (["fgdm"] if kind == "quadratic" else [])
     for i, method in enumerate(draw(st.lists(st.sampled_from(methods), min_size=1, max_size=3))):
-        keys = [("method", method), ("k_max", pick("0", "5", "50"))]
+        keys = [("method", method)]
+        if method in ("gdm", "fgdm"):
+            keys += [("k_max", pick("0", "5", "50"))]
         if method == "gdm":
             keys += [("omega", pick("0.05", "0.1", "1.5")), ("epsilon", pick("0.01", "1e-3"))]
         elif method == "cgm":
@@ -544,9 +554,9 @@ class TestStreaming:
         existing = []
         run_restarts = harness.run_restarts
 
-        def recording(objective, starts, cfg, stop):
+        def recording(objective, starts, cfg, thresholds):
             existing.append(sorted(p.name for p in tmp_path.glob("st__*__r*.csv")))
-            return run_restarts(objective, starts, cfg, stop)
+            return run_restarts(objective, starts, cfg, thresholds)
 
         monkeypatch.setattr(harness, "run_restarts", recording)
         records, code = run_experiment(spec, tmp_path)
@@ -665,6 +675,23 @@ assert 'harness.run_experiment' in tracer.names
 """
 
 
+# the keys each method takes (README's spec schema) and a minimal valid
+# section of each
+METHOD_TAKES = {
+    "gdm": {"method", "alpha", "omega", "k_max", "epsilon"},
+    "cgm": {"method", "alpha", "gain", "t_end", "h"},
+    "fgdm": {"method", "alpha", "omega", "operator", "window_lower", "window_length",
+             "k_max", "epsilon"},
+    "fctm": {"method", "alpha", "gain", "h", "t_end", "v0"},
+}
+METHOD_BASES = {
+    "gdm": {"method": "gdm", "omega": "0.1", "k_max": "5"},
+    "cgm": {"method": "cgm", "gain": "1.0", "t_end": "1.0"},
+    "fgdm": {"method": "fgdm", "alpha": "0.9", "omega": "0.1", "k_max": "5"},
+    "fctm": {"method": "fctm", "alpha": "1.5", "gain": "1.0", "h": "0.1", "t_end": "1.0"},
+}
+
+
 class TestCli:
     def test_run_spec_file(self, tmp_path, capsys):
         path = tmp_path / "demo.ini"
@@ -749,6 +776,25 @@ class TestCli:
         name = key.split(" =")[0]
         assert f"[method.f]: {name} is not a fctm key" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("method", sorted(METHOD_BASES))
+    @pytest.mark.parametrize("key", sorted(harness._METHOD_KEYS))
+    def test_method_key_taken_or_named(self, tmp_path, capsys, key, method):
+        # each method key either runs on a method or is named as written, exit 2
+        # alpha = 1 suits every method; each other value is valid wherever it is taken
+        value = method if key == "method" else "1.0" if key == "alpha" else FOREIGN_VALUES[key]
+        keys = {**METHOD_BASES[method], key: value}
+        path = tmp_path / "m.ini"
+        path.write_text("[experiment]\nname = m\nproblem = quadratic\n\n[method.m]\n"
+                        + "".join(f"{k} = {v}\n" for k, v in keys.items()))
+        code = main(["--out", str(tmp_path / "out"), "run", str(path)])
+        if key in METHOD_TAKES[method]:
+            assert code == EXIT_OK
+            assert (tmp_path / "out" / "m__summary.csv").exists()
+        else:
+            assert code == EXIT_CONFIG
+            assert f"[method.m]: {key} is not a {method} key" in capsys.readouterr().err
+            assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("kind,key", [("quadratic", "charges = 12"),
                                           ("quadratic", "target_rule = alternating"),
                                           ("thomson", "u0 = 1.0")])
@@ -810,6 +856,19 @@ class TestCli:
         with open(tmp_path / "big__summary.csv", newline="") as fh:
             (row,) = csv.DictReader(fh)
         assert row["status"] == "diverged: 1000000000000000 steps do not fit in memory"
+
+    @pytest.mark.parametrize("kind,size", [("vandermonde", "degree = 1000000000000"),
+                                           ("thomson", "charges = 10000000")])
+    def test_problem_beyond_memory_is_a_failed_cell(self, tmp_path, kind, size):
+        # numpy refuses the 7.28 TiB of Vandermonde powers and the 90.9 TiB
+        # Thomson pair mask at once; both were MemoryError tracebacks, exit 1
+        path = tmp_path / "big.ini"
+        path.write_text(f"[experiment]\nname = big\nproblem = {kind}\n{size}\n\n"
+                        "[method.gdm]\nmethod = gdm\nomega = 0.1\nk_max = 5\n")
+        assert main(["--out", str(tmp_path), "run", str(path)]) == EXIT_DIVERGED
+        with open(tmp_path / "big__summary.csv", newline="") as fh:
+            (row,) = csv.DictReader(fh)
+        assert row["status"] == f"diverged: the {kind} problem does not fit in memory"
 
     def test_overflowed_metric_at_finite_states_is_a_failed_cell(self, tmp_path, capsys):
         # the PECE states stay finite to t = 10 (near -3e173 at the end), but the

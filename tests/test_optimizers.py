@@ -19,10 +19,10 @@ from fracopt.errors import (
 from fracopt.fdesolve import Trajectory, TrajectoryStats, linear_relaxation_solution
 from fracopt import optimizers
 from fracopt.fracops import MemoryWindow
+from fracopt.harness import ExperimentSpec, MethodSpec, ProblemSpec
 from fracopt.optimizers import (
     Method,
     OptimizerConfig,
-    StoppingRule,
     first_passages,
     oscillation_census,
     run_fctm,
@@ -92,8 +92,10 @@ class TestConfigValidation:
         with pytest.raises(ConfigError):
             OptimizerConfig(method=Method.FCTM, gain=0.0, h=1e-3, t_end=1.0)
         with pytest.raises(ConfigError):
-            StoppingRule(k_max=-1)
-        assert StoppingRule(k_max=0).k_max == 0
+            OptimizerConfig(method=Method.GDM, omega=0.1, k_max=-1)
+        assert OptimizerConfig(method=Method.GDM, omega=0.1, k_max=0).k_max == 0
+        with pytest.raises(ConfigError, match="epsilon must be finite"):
+            OptimizerConfig(method=Method.GDM, omega=0.1, epsilon=math.nan)
 
     def test_operator_name(self):
         with pytest.raises(ConfigError):
@@ -106,8 +108,15 @@ class TestConfigValidation:
             Method.parse("sgd")
 
     def test_thresholds_must_decrease(self):
-        with pytest.raises(ConfigError):
-            StoppingRule(thresholds=(0.01, 0.1))
+        # the experiment owns the thresholds that every run of it records
+        gdm = MethodSpec("gdm", OptimizerConfig(method=Method.GDM, omega=0.1))
+        for thresholds, rule in [((0.01, 0.1), "strictly decreasing"),
+                                 ((0.1, 0.1), "strictly decreasing"),
+                                 ((0.1, math.nan), "finite"), ((math.inf, 0.1), "finite")]:
+            with pytest.raises(ConfigError, match=f"^thresholds must be {rule}$"):
+                ExperimentSpec(name="x", problem=ProblemSpec(kind="quadratic"), methods=(gdm,),
+                               thresholds=thresholds)
+
 
 
 class TestFirstPassages:
@@ -128,16 +137,16 @@ class TestFirstPassages:
 
 class TestGdm:
     def test_converges_at_geometric_rate(self):
-        cfg = OptimizerConfig(method=Method.GDM, omega=0.1)
-        res = run_gdm(QUAD, np.array([1.0]), cfg, StoppingRule(k_max=300))
+        cfg = OptimizerConfig(method=Method.GDM, omega=0.1, k_max=300)
+        res = run_gdm(QUAD, np.array([1.0]), cfg)
         assert res.converged_to[0] == pytest.approx(3.0, abs=1e-8)
         gaps = np.abs(res.iterations.iterates[:10, 0] - 3.0)
         assert np.allclose(gaps[1:] / gaps[:-1], 0.8, atol=1e-12)
 
     def test_divergence_for_large_step(self):
-        cfg = OptimizerConfig(method=Method.GDM, omega=1.1)
+        cfg = OptimizerConfig(method=Method.GDM, omega=1.1, k_max=30000)
         with pytest.raises(IterationDivergenceError) as err:
-            run_gdm(QUAD, np.array([1.0]), cfg, StoppingRule(k_max=30000))
+            run_gdm(QUAD, np.array([1.0]), cfg)
         assert err.value.iteration > 0
 
     @pytest.mark.parametrize("starts", [[[1.0]], [[1.0], [2.0]]])
@@ -149,9 +158,9 @@ class TestGdm:
             for _ in range(iteration):
                 u = u - omega * QUAD.gradient(u)
             assert np.isfinite(u).all() and QUAD.f(u) == math.inf
-        cfg = OptimizerConfig(method=Method.GDM, omega=omega)
+        cfg = OptimizerConfig(method=Method.GDM, omega=omega, k_max=30000)
         with pytest.raises(IterationDivergenceError) as err:
-            run_restarts(QUAD, np.array(starts), cfg, StoppingRule(k_max=30000))
+            run_restarts(QUAD, np.array(starts), cfg)
         assert err.value.iteration == iteration
 
     def test_overflowed_cost_reported_before_a_later_step_failure(self):
@@ -160,37 +169,37 @@ class TestGdm:
                 raise OperatorDomainError("the second step fails")
             return u * 1e200, False  # (u - 3)^2 overflows, u does not
 
+        cfg = OptimizerConfig(method=Method.GDM, omega=0.1, k_max=10)
         with pytest.raises(IterationDivergenceError) as err:
-            optimizers._descend(QUAD, np.array([[1.0]]), StoppingRule(k_max=10), step)
+            optimizers._descend(QUAD, np.array([[1.0]]), cfg, (), step)
         assert err.value.iteration == 1
 
     def test_overflowed_start_cost_fails_at_iteration_zero(self):
         # (1e200 - 3)^2 overflows while the descent itself converges
-        cfg = OptimizerConfig(method=Method.GDM, omega=0.1)
+        cfg = OptimizerConfig(method=Method.GDM, omega=0.1, k_max=50)
         with pytest.raises(IterationDivergenceError) as err:
-            run_gdm(QUAD, np.array([1e200]), cfg, StoppingRule(k_max=50))
+            run_gdm(QUAD, np.array([1e200]), cfg)
         assert err.value.iteration == 0
 
     def test_fixed_point_stays(self):
-        cfg = OptimizerConfig(method=Method.GDM, omega=0.1)
-        res = run_gdm(QUAD, np.array([3.0]), cfg, StoppingRule(k_max=50))
+        cfg = OptimizerConfig(method=Method.GDM, omega=0.1, k_max=50)
+        res = run_gdm(QUAD, np.array([3.0]), cfg)
         assert np.all(res.iterations.iterates == 3.0)
 
     def test_monotone_cost_with_safe_step(self, rng):
         obj, spec = make_vandermonde(10)
         curvature = 2.0 * np.linalg.norm(spec.matrix, 2) ** 2
-        cfg = OptimizerConfig(method=Method.GDM, omega=1.0 / (2.0 * curvature))
-        res = run_gdm(obj, rng.uniform(-1, 1, 11), cfg, StoppingRule(k_max=500))
+        cfg = OptimizerConfig(method=Method.GDM, omega=1.0 / (2.0 * curvature), k_max=500)
+        res = run_gdm(obj, rng.uniform(-1, 1, 11), cfg)
         assert np.all(np.diff(res.iterations.costs) <= 0.0)
-        cfg = OptimizerConfig(method=Method.GDM, omega=0.25)  # 1/(2 max curvature)
-        res = run_gdm(QUAD, np.array([1.0]), cfg, StoppingRule(k_max=100))
+        cfg = OptimizerConfig(method=Method.GDM, omega=0.25, k_max=100)  # 1/(2 max curvature)
+        res = run_gdm(QUAD, np.array([1.0]), cfg)
         assert np.all(np.diff(res.iterations.costs) <= 0.0)
 
     def test_early_stop_on_metric(self):
-        cfg = OptimizerConfig(method=Method.GDM, omega=0.1)
-        res = run_gdm(QUAD, np.array([1.0]), cfg,
-                      StoppingRule(epsilon=0.01, k_max=10000))
-        assert res.converged
+        cfg = OptimizerConfig(method=Method.GDM, omega=0.1, epsilon=0.01, k_max=10000)
+        res = run_gdm(QUAD, np.array([1.0]), cfg)
+        assert res.final_metric < 0.01
         assert len(res.iterations) < 100
 
 
@@ -201,16 +210,16 @@ class TestFgdm:
 
     def test_order_one_reduces_to_gdm(self):
         cfg = OptimizerConfig(method=Method.FGDM, alpha=1.0, omega=0.05,
-                              fgdm_operator="caputo", window=FIXED_WINDOW)
-        res = run_restarts(QUAD, 1.0, cfg, StoppingRule(k_max=5000))[0]
+                              fgdm_operator="caputo", window=FIXED_WINDOW, k_max=5000)
+        res = run_restarts(QUAD, 1.0, cfg)[0]
         assert res.converged_to[0] == pytest.approx(3.0, abs=1e-8)
 
     def test_windowed_caputo_lands_near_extremum(self):
         h = 1e-3
         window = MemoryWindow(lower_limit=0.0, memory_length=h)
         cfg = OptimizerConfig(method=Method.FGDM, alpha=0.9, omega=0.05,
-                              fgdm_operator="caputo", window=window)
-        res = run_restarts(QUAD, 1.0, cfg, StoppingRule(k_max=20000))[0]
+                              fgdm_operator="caputo", window=window, k_max=20000)
+        res = run_restarts(QUAD, 1.0, cfg)[0]
         expected = 3.0 + h * (1.0 - 0.9) / (2.0 - 0.9)
         assert res.converged_to[0] == pytest.approx(expected, abs=5e-4)
 
@@ -222,9 +231,9 @@ class TestFgdm:
 
     def test_domain_exit_aborts_with_diagnostic(self):
         cfg = OptimizerConfig(method=Method.FGDM, alpha=0.9, omega=0.5,
-                              fgdm_operator="rl", window=FIXED_WINDOW)
+                              fgdm_operator="rl", window=FIXED_WINDOW, k_max=100)
         with pytest.raises(OperatorDomainError) as err:
-            run_restarts(QUAD, 0.1, cfg, StoppingRule(k_max=100))
+            run_restarts(QUAD, 0.1, cfg)
         assert "iteration" in str(err.value)
 
     def test_objective_without_polynomial_rejected(self):
@@ -270,8 +279,8 @@ class TestFctm:
         assert gap_half[-1] > 3.0 - res_one.trace.states[-1, 0]  # slower than order 1
 
     def test_equilibrium_is_extremum(self):
-        stop = StoppingRule(thresholds=(0.1, 0.01, 0.001))
-        res = run_fctm(QUAD, np.array([1.0]), fctm_cfg(1.0, h=1e-3, t_end=10.0), stop)
+        res = run_fctm(QUAD, np.array([1.0]), fctm_cfg(1.0, h=1e-3, t_end=10.0),
+                       (0.1, 0.01, 0.001))
         assert 0.001 in res.first_passage
         grad_norm = float(np.linalg.norm(QUAD.gradient(res.converged_to)))
         assert grad_norm <= 1e-3
@@ -290,7 +299,7 @@ class TestFctm:
                           stats=TrajectoryStats(steps=5, field_evaluations=0))
         squared = dataclasses.replace(QUAD, progress_metric=QUAD.f)
         with pytest.raises(SolverDivergenceError) as err:
-            optimizers._wrap_result(squared, StoppingRule(), traj, 0, 0.0)
+            optimizers._wrap_result(squared, (), traj, 0, 0.0)
         assert err.value.t == times[j]
 
     def test_cost_counts_field_evaluations(self):
@@ -303,21 +312,21 @@ class TestFctm:
         # explicit-Euler correspondence: omega = gain * h
         h = 1e-3
         res_fctm = run_fctm(QUAD, np.array([1.0]), fctm_cfg(1.0, h=h, t_end=5.0))
-        cfg = OptimizerConfig(method=Method.GDM, omega=1.0 * h)
-        res_gdm = run_gdm(QUAD, np.array([1.0]), cfg, StoppingRule(k_max=5000))
+        cfg = OptimizerConfig(method=Method.GDM, omega=1.0 * h, k_max=5000)
+        res_gdm = run_gdm(QUAD, np.array([1.0]), cfg)
         diff = np.abs(res_fctm.trace.states[:, 0] - res_gdm.iterations.iterates[:, 0])
         assert np.max(diff) <= 10.0 * h
 
-    def test_timeout_reports_best_so_far(self):
-        stop = StoppingRule(epsilon=1e-9, thresholds=(0.1,))
-        res = run_fctm(QUAD, np.array([1.0]), fctm_cfg(0.5, h=1e-2, t_end=2.0), stop)
-        assert not res.converged
-        metrics = np.abs(res.trace.states[:, 0] - 3.0)
-        assert abs(res.converged_to[0] - res.trace.states[np.argmin(metrics), 0]) == 0.0
+    def test_flows_take_no_discrete_stop(self):
+        # a flow integrates its horizon t_end; k_max and epsilon stop GDM/FGDM only
+        for method in (Method.FCTM, Method.CGM):
+            for name, value in (("epsilon", 1e-9), ("k_max", 100)):
+                with pytest.raises(ConfigError, match=f"^{name} is not a {method.value} parameter$"):
+                    OptimizerConfig(method=method, gain=1.0, h=1e-2, t_end=2.0, **{name: value})
 
     def test_passage_times_nondecreasing(self):
-        stop = StoppingRule(thresholds=(0.5, 0.1, 0.01, 0.001))
-        res = run_fctm(QUAD, np.array([1.0]), fctm_cfg(1.0, h=1e-3, t_end=10.0), stop)
+        res = run_fctm(QUAD, np.array([1.0]), fctm_cfg(1.0, h=1e-3, t_end=10.0),
+                       (0.5, 0.1, 0.01, 0.001))
         times = [res.first_passage[t] for t in (0.5, 0.1, 0.01, 0.001)]
         assert times == sorted(times)
 
@@ -327,7 +336,6 @@ def assert_same_run(stacked, single):
     assert stacked.first_passage == single.first_passage
     assert np.float64(stacked.final_metric).tobytes() == np.float64(single.final_metric).tobytes()
     assert stacked.converged_to.tobytes() == single.converged_to.tobytes()
-    assert stacked.converged == single.converged
     assert stacked.field_evaluations == single.field_evaluations
     if single.trace is not None:
         assert stacked.trace.times.tobytes() == single.trace.times.tobytes()
@@ -346,58 +354,54 @@ class TestRestarts:
     @pytest.mark.parametrize("alpha", [0.7, 1.3])
     def test_fctm_stack_equals_one_start_runs(self, alpha):
         cfg = fctm_cfg(alpha, h=0.005, t_end=1.5, v0=0.05 if alpha > 1 else None)
-        stop = StoppingRule(thresholds=(5.0, 4.0))
-        results = run_restarts(self.THOMSON, self.STARTS, cfg, stop)
+        results = run_restarts(self.THOMSON, self.STARTS, cfg, (5.0, 4.0))
         assert len(results) == 3
         for u0, res in zip(self.STARTS, results):
-            assert_same_run(res, run_fctm(self.THOMSON, u0, cfg, stop))
+            assert_same_run(res, run_fctm(self.THOMSON, u0, cfg, (5.0, 4.0)))
 
     def test_gdm_rows_stop_at_different_k(self):
-        cfg = OptimizerConfig(method=Method.GDM, omega=0.1)
-        stop = StoppingRule(epsilon=1e-3, k_max=500, thresholds=(0.1, 0.01))
+        cfg = OptimizerConfig(method=Method.GDM, omega=0.1, epsilon=1e-3, k_max=500)
         starts = np.array([[1.0], [2.9], [-4.0], [3.0]])
-        results = run_restarts(QUAD, starts, cfg, stop)
+        results = run_restarts(QUAD, starts, cfg, (0.1, 0.01))
         assert len({len(r.iterations) for r in results}) == 4
         assert results[3].field_evaluations == 0  # at the optimum from the start
         for u0, res in zip(starts, results):
             assert res.field_evaluations == len(res.iterations) - 1
-            assert_same_run(res, run_gdm(QUAD, u0, cfg, stop))
+            assert_same_run(res, run_gdm(QUAD, u0, cfg, (0.1, 0.01)))
 
     def test_thomson_gdm_rows_stop_under_epsilon(self):
-        cfg = OptimizerConfig(method=Method.GDM, omega=0.005)
         # a cap far beyond memory: the traces grow only as far as each row runs
-        stop = StoppingRule(epsilon=3.70, k_max=10**9)
-        results = run_restarts(self.THOMSON, self.STARTS, cfg, stop)
+        cfg = OptimizerConfig(method=Method.GDM, omega=0.005, epsilon=3.70, k_max=10**9)
+        results = run_restarts(self.THOMSON, self.STARTS, cfg)
         assert len({len(r.iterations) for r in results}) == 3
-        assert all(r.converged and r.final_metric < 3.70 for r in results)
+        assert all(r.final_metric < 3.70 for r in results)
         for u0, res in zip(self.STARTS, results):
-            assert_same_run(res, run_gdm(self.THOMSON, u0, cfg, stop))
+            assert_same_run(res, run_gdm(self.THOMSON, u0, cfg))
 
     def test_diverging_row_fails_the_stack(self):
-        cfg = OptimizerConfig(method=Method.GDM, omega=1.1)
+        cfg = OptimizerConfig(method=Method.GDM, omega=1.1, k_max=30000)
         with pytest.raises(IterationDivergenceError):
-            run_restarts(QUAD, np.array([[3.0], [1.0]]), cfg, StoppingRule(k_max=30000))
+            run_restarts(QUAD, np.array([[3.0], [1.0]]), cfg)
 
     @pytest.mark.parametrize("k_max", [0, 10])
     def test_thomson_coincident_start_raises_its_pair(self, k_max):
         bad = self.STARTS[0].copy()
         bad[[1, 5]] = bad[[0, 4]]  # charge 1 on charge 0
-        cfg = OptimizerConfig(method=Method.GDM, omega=0.005)
+        cfg = OptimizerConfig(method=Method.GDM, omega=0.005, k_max=k_max)
         for starts in (bad, np.stack((self.STARTS[1], bad))):
             with pytest.raises(SingularPairError) as err:
-                run_restarts(self.THOMSON, starts, cfg, StoppingRule(k_max=k_max))
+                run_restarts(self.THOMSON, starts, cfg)
             assert str(err.value) == "coincident charges: pair (0, 1) has zero distance"
 
     def test_cgm_and_fgdm_run_rows_one_at_a_time(self):
         starts = np.array([[1.0], [2.0]])
         cgm = OptimizerConfig(method=Method.CGM, gain=1.0, h=0.01, t_end=2.0)
         fgdm = OptimizerConfig(method=Method.FGDM, alpha=0.9, omega=0.05,
-                               fgdm_operator="caputo", window=FIXED_WINDOW)
-        stop = StoppingRule(k_max=200)
-        for u0, res in zip(starts, run_restarts(QUAD, starts, cgm, stop)):
-            assert_same_run(res, run_fctm(QUAD, u0, cgm, stop))
-        for u0, res in zip(starts, run_restarts(QUAD, starts, fgdm, stop)):
-            assert_same_run(res, run_restarts(QUAD, float(u0[0]), fgdm, stop)[0])
+                               fgdm_operator="caputo", window=FIXED_WINDOW, k_max=200)
+        for u0, res in zip(starts, run_restarts(QUAD, starts, cgm)):
+            assert_same_run(res, run_fctm(QUAD, u0, cgm))
+        for u0, res in zip(starts, run_restarts(QUAD, starts, fgdm)):
+            assert_same_run(res, run_restarts(QUAD, float(u0[0]), fgdm)[0])
 
 
 class TestStabilityEnvelope:
@@ -461,9 +465,9 @@ class TestDescentCosts:
     @pytest.mark.parametrize("problem", sorted(CASES))
     def test_costs_equal_single_state_f(self, problem, rows):
         obj, starts, omega = self.CASES[problem]
-        cfg = OptimizerConfig(method=Method.GDM, omega=omega)
+        cfg = OptimizerConfig(method=Method.GDM, omega=omega, k_max=150)
         # past two metric chunks, so a cost comes from each position in a chunk
-        for res in run_restarts(obj, starts[:rows], cfg, StoppingRule(k_max=150)):
+        for res in run_restarts(obj, starts[:rows], cfg):
             trace = res.iterations
             assert len(trace) == 151
             for u, cost in zip(trace.iterates, trace.costs):
@@ -483,11 +487,11 @@ class TestDescentCosts:
         f = spy("f", self.THOMSON.f)
         obj = dataclasses.replace(self.THOMSON, f=f, progress_metric=f,
                                   gradient=spy("gradient", self.THOMSON.gradient))
-        cfg = OptimizerConfig(method=Method.GDM, omega=0.005)
         k = 200
-        results = run_restarts(obj, self.THOMSON_STARTS, cfg, StoppingRule(k_max=k))
+        cfg = OptimizerConfig(method=Method.GDM, omega=0.005, k_max=k)
+        results = run_restarts(obj, self.THOMSON_STARTS, cfg)
         assert calls["gradient"] == k  # one stacked call per iteration
         # the costs, and the metrics with them, by one call per chunk of a row
         assert calls["f"] == 2 * math.ceil((k + 1) / optimizers._METRIC_CHUNK)
         for u0, res in zip(self.THOMSON_STARTS, results):
-            assert_same_run(res, run_gdm(self.THOMSON, u0, cfg, StoppingRule(k_max=k)))
+            assert_same_run(res, run_gdm(self.THOMSON, u0, cfg))

@@ -9,7 +9,7 @@ from fracopt import _selfcheck as sc
 from fracopt import problems
 from fracopt._csvfile import write_csv
 from fracopt.errors import SampleRetryError, SingularPairError
-from fracopt.optimizers import Method, OptimizerConfig, StoppingRule, run_gdm
+from fracopt.optimizers import Method, OptimizerConfig, run_gdm
 from fracopt.problems import (
     THOMSON_REFERENCE_ENERGIES,
     make_quadratic,
@@ -210,10 +210,10 @@ class TestThomson:
         # no seeded descent may report energy below the reference minimum
         obj, _ = make_thomson(n)
         ref = THOMSON_REFERENCE_ENERGIES[n]
-        cfg = OptimizerConfig(method=Method.GDM, omega=0.005)
+        cfg = OptimizerConfig(method=Method.GDM, omega=0.005, k_max=2000)
         for seed in (1, 2, 3):
             u0 = random_sphere_configuration(n, seed=seed)
-            result = run_gdm(obj, u0, cfg, StoppingRule(k_max=2000))
+            result = run_gdm(obj, u0, cfg)
             assert result.final_metric >= ref - 1e-6
             assert float(np.min(result.iterations.costs)) >= ref - 1e-6
 
