@@ -8,6 +8,7 @@ run diverged (or a self-check failed).
 from __future__ import annotations
 
 import argparse
+import os
 import random
 import sys
 
@@ -63,13 +64,40 @@ def _check() -> int:
     return EXIT_DIVERGED if failed else EXIT_OK
 
 
+# OpenBLAS's thread-count getter, as plain, 64-bit-integer and numpy-wheel builds name it
+_OPENBLAS_THREADS = ("openblas_get_num_threads", "openblas_get_num_threads64_",
+                     "scipy_openblas_get_num_threads64_")
+
+
+def _default_workers() -> int:
+    """The CPUs this process may use over the threads that numpy's OpenBLAS
+    runs a product on, at least 1.  A forked worker keeps its BLAS threads,
+    so its bits match one process's: a d = 1 history sum of more than about
+    9 200 steps rounds differently on one BLAS thread than on two.  More
+    workers than this make the threads spin against each other: on two
+    CPUs, with two BLAS threads each, fig2 took 23 s on two workers and
+    3 s on one."""
+    import ctypes
+
+    with open("/proc/self/maps") as maps:
+        libraries = {line.split(maxsplit=5)[5].strip() for line in maps if "openblas" in line}
+    blas = 1
+    for path in libraries:
+        library = ctypes.CDLL(path)
+        blas = max([blas] + [getattr(library, name)() for name in _OPENBLAS_THREADS
+                             if hasattr(library, name)])
+    return max(1, len(os.sched_getaffinity(0)) // blas)
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
         prog="fracopt",
         description="Fractional-order gradient descent laboratory",
     )
     parser.add_argument("--out", default="out", help="output directory (default: out)")
-    parser.add_argument("--workers", type=int, default=1, help="parallel cells (default: 1)")
+    parser.add_argument("--workers", type=int, default=None,
+                        help="methods run at once, each in a worker process (default: the "
+                             "usable CPUs over numpy's BLAS threads, at least 1)")
     parser.add_argument("--seed", type=int, default=None,
                         help="base seed, overriding a spec's seed (default: the spec's, or 0)")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -83,18 +111,19 @@ def main(argv: list[str] | None = None) -> int:
     sub.add_parser("check", help="run the library invariant suite")
 
     args = parser.parse_args(argv)
+    workers = args.workers if args.workers is not None else _default_workers()
     try:
         if args.command == "run":
             spec = parse_spec_file(args.spec_file)
             if args.seed is not None:
                 from dataclasses import replace
                 spec = replace(spec, base_seed=args.seed)
-            records, code = run_experiment(spec, args.out, workers=args.workers)
+            records, code = run_experiment(spec, args.out, workers=workers)
             for r in records:
                 print(f"{r.label} r{r.restart}: final_metric={r.final_metric:.6e} [{r.status}]")
             return code
         if args.command == "reproduce":
-            _, code = reproduce(args.target, args.out, seed=args.seed or 0, workers=args.workers)
+            _, code = reproduce(args.target, args.out, seed=args.seed or 0, workers=workers)
             print(f"{args.target}: outputs written to {args.out}/")
             return code
         return _check()

@@ -43,6 +43,9 @@ class SolverDivergenceError(FracoptError):
         self.t = t
         super().__init__(f"nonfinite state or metric at t = {t:g}")
 
+    def __reduce__(self):  # Exception pickles only the message, which __init__ cannot take
+        return type(self), (self.t,)
+
 
 class StiffnessError(FracoptError):
     """Adaptive reference solver failed (step size underflow)."""
@@ -55,6 +58,9 @@ class IterationDivergenceError(FracoptError):
         self.iteration = iteration
         super().__init__(f"nonfinite iterate or cost at iteration {iteration}")
 
+    def __reduce__(self):
+        return type(self), (self.iteration,)
+
 
 class OrderRangeError(FracoptError, ValueError):
     """Operation requested outside its supported fractional-order range."""
@@ -66,6 +72,9 @@ class SingularPairError(FracoptError):
     def __init__(self, i: int, j: int):
         self.pair = (i, j)
         super().__init__(f"coincident charges: pair ({i}, {j}) has zero distance")
+
+    def __reduce__(self):
+        return type(self), self.pair
 
 
 class SampleRetryError(FracoptError):

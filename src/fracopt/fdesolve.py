@@ -62,6 +62,9 @@ class Trajectory:
         self.times.flags.writeable = False
         self.states.flags.writeable = False
 
+    def __reduce__(self):  # unpickled through __post_init__, so the arrays stay frozen
+        return type(self), (self.times, self.states, self.stats)
+
     def to_csv(self, path) -> None:
         """Write `t,u_0,...,u_{d-1}` rows at full precision, LF endings."""
         write_csv(path, ["t"] + [f"u_{i}" for i in range(self.states.shape[1])],

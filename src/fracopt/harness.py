@@ -18,6 +18,7 @@ import configparser
 import math
 import re
 from dataclasses import dataclass, fields, replace
+from functools import partial
 from pathlib import Path
 from typing import Callable
 
@@ -281,11 +282,13 @@ def run_experiment(
     """Execute every (method, restart) cell and write summary/trace CSVs.
 
     Each method runs its restarts as one stacked job (see
-    :func:`run_restarts`); ``workers`` > 1 runs methods on threads, and
-    ``workers`` < 1 is a configuration error, raised before ``out_dir`` is
-    made.  A method's trace CSVs are written as soon as its job ends, in
-    the order of ``spec.methods``; then ``on_result(label, restart, result)``
-    sees each completed cell with its trace, and the cell becomes a
+    :func:`run_restarts`).  With ``workers`` > 1, up to that many methods
+    run at once, each in a forked worker process, and their results come
+    back by pickle; ``workers`` < 1 is a configuration error, raised before
+    ``out_dir`` is made.  This process writes every output: a method's
+    trace CSVs as soon as its job ends, in the order of ``spec.methods``;
+    then ``on_result(label, restart, result)`` sees each completed cell
+    with its trace, and the cell becomes a
     :class:`SummaryRecord`, which holds no result.  ``ratio_vs_alpha1``
     divides the final metric of the first order-1 method by each cell's,
     per restart; ``header_note``, if given, heads the summary CSV.  A
@@ -302,15 +305,19 @@ def run_experiment(
         raise ConfigError(f"cannot make output directory {str(out)!r}: {exc.strerror}") from None
 
     def run_and_write(lazy_map) -> list[list[SummaryRecord]]:
-        runs = lazy_map(lambda m: _run_method(spec, m), spec.methods)
+        runs = lazy_map(partial(_run_method, spec), spec.methods)
         # next(runs) is only an argument, so no name keeps a method's
         # trajectories alive while the next method runs
         return [_write_method(out, spec, mspec, next(runs), on_result) for mspec in spec.methods]
 
+    workers = min(workers, len(spec.methods))
     if workers > 1:
-        from concurrent.futures import ThreadPoolExecutor  # only threaded runs load it
+        # only a pool loads these; a forked child inherits the loaded modules
+        # and runs _run_method alone, so the outputs stay in the parent
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
 
-        with ThreadPoolExecutor(max_workers=workers) as pool:
+        with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork")) as pool:
             per_method = run_and_write(pool.map)
     else:
         per_method = run_and_write(map)

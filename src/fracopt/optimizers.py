@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import enum
 import math
+import operator
 import time
 from dataclasses import dataclass, fields
 from typing import Callable, Sequence
@@ -135,8 +136,13 @@ class OptimizerConfig:
             raise ConfigError("v0 must be finite")
         if self.epsilon is not None and not math.isfinite(self.epsilon):
             raise ConfigError("epsilon must be finite")
-        if self.k_max is not None and self.k_max < 0:
-            raise ConfigError(f"k_max must be >= 0, got {self.k_max}")
+        if self.k_max is not None:
+            try:
+                object.__setattr__(self, "k_max", operator.index(self.k_max))
+            except TypeError:
+                raise ConfigError(f"k_max must be an integer, got {self.k_max!r}") from None
+            if self.k_max < 0:
+                raise ConfigError(f"k_max must be >= 0, got {self.k_max}")
         if m in (Method.GDM, Method.CGM) and self.alpha != 1.0:
             raise ConfigError(f"{m.value} runs at alpha = 1")
         if m is Method.FGDM and not 0 < self.alpha <= 1:
@@ -170,6 +176,9 @@ class DiscreteTrace:
         object.__setattr__(self, "costs", np.ascontiguousarray(self.costs, dtype=float))
         self.iterates.flags.writeable = False
         self.costs.flags.writeable = False
+
+    def __reduce__(self):  # unpickled through __post_init__, so the arrays stay frozen
+        return type(self), (self.iterates, self.costs)
 
     def __len__(self) -> int:
         return len(self.costs)
@@ -283,8 +292,12 @@ def _descend(
                 if not np.isfinite(u).all():
                     raise IterationDivergenceError(k + 1)
                 if k + 1 == iterates.shape[1]:
-                    iterates = np.concatenate(
-                        (iterates, np.empty((n_rows, min(k + 1, k_max - k), d))), axis=1)
+                    extra = min(k + 1, k_max - k)
+                    try:
+                        iterates = np.concatenate(
+                            (iterates, np.empty((n_rows, extra, d))), axis=1)
+                    except MemoryError:  # the rows fail at iterate k, as on a divergence
+                        raise ConfigError(f"{k + 1 + extra} iterates do not fit in memory") from None
                 iterates[rows, k + 1] = u
                 if settled is not False and not retire(settled, k + 1):
                     break

@@ -584,6 +584,68 @@ class TestStreaming:
         assert five <= 1.5 * one, (one, five)
 
 
+class TestWorkerProcesses:
+    """Methods run in forked worker processes give what one process gives:
+    the same bytes, exit code and ``on_result`` order."""
+
+    def test_fig4_same_at_one_and_two_workers(self, tmp_path, monkeypatch):
+        # fig4's hook writes the energy traces: the writes give the hook order
+        written = []
+        write_csv = harness.write_csv
+
+        def recording(path, *args):
+            written.append(Path(path).name)
+            write_csv(path, *args)
+
+        monkeypatch.setattr(harness, "write_csv", recording)
+        runs = []
+        for workers in ("1", "2"):
+            written.clear()
+            out = tmp_path / workers
+            code = main(["--out", str(out), "--workers", workers, "reproduce", "fig4"])
+            runs.append((code, list(written), output_bytes(out)))
+        assert runs[0] == runs[1]
+        assert runs[0][0] == EXIT_OK
+        assert runs[0][1][:5] == [f"fig4__energy__fctm-a{a}.csv" for a in ("0.9", "1", "1.2", "1.5", "1.7")]
+
+    def test_thomson_with_a_diverged_method_same_at_one_and_two_workers(self, tmp_path, monkeypatch):
+        # the errors come back from the workers by pickle: FCTM diverges in every
+        # cell, and restart 1 starts from coincident charges, which GDM fails on
+        sample = harness.random_sphere_configuration
+
+        def second_start_coincident(n_charges, seed):
+            u = sample(n_charges, seed)
+            if seed == 11 + harness._SEED_STRIDE:
+                u[[1, n_charges + 1]] = u[[0, n_charges]]
+            return u
+
+        monkeypatch.setattr(harness, "random_sphere_configuration", second_start_coincident)
+        fail_when(monkeypatch, lambda starts, cfg: cfg.method is Method.FCTM,
+                  SolverDivergenceError(0.25))
+        runs = []
+        for workers in (1, 2):
+            seen = []
+
+            def hook(label, restart, result):
+                seen.append((label, restart, result.converged_to.tobytes(),
+                             result.iterations.iterates.flags.writeable))
+
+            out = tmp_path / str(workers)
+            records, code = run_experiment(thomson_spec(4), out, workers, on_result=hook)
+            runs.append((code, seen, [(r.label, r.restart, r.status) for r in records],
+                         output_bytes(out)))
+        assert runs[0] == runs[1]
+        code, seen, statuses, _ = runs[0]
+        assert code == EXIT_DIVERGED
+        assert [(label, restart, frozen) for label, restart, _, frozen in seen] == \
+               [("gdm", 0, False), ("gdm", 2, False)]
+        assert statuses == [  # in the summary's order, by alpha
+            ("fctm-a0.7", r, "diverged: nonfinite state or metric at t = 0.25") for r in range(3)] + [
+            ("gdm", 0, "completed"),
+            ("gdm", 1, "diverged: coincident charges: pair (0, 1) has zero distance"),
+            ("gdm", 2, "completed")]
+
+
 class TestReproduceTargets:
     def test_fig4_energy_traces(self, tmp_path):
         from fracopt.harness import reproduce
@@ -601,8 +663,9 @@ class TestReproduceTargets:
         assert np.all(np.diff(values) <= 0.0)  # monotone nonincreasing
 
     def test_fig4_solves_each_cell_once(self, tmp_path, monkeypatch):
+        # in this process: a worker process would count in its own copy
         calls = count_fctm_stacks(monkeypatch)
-        assert main(["--out", str(tmp_path), "reproduce", "fig4"]) == EXIT_OK
+        assert main(["--out", str(tmp_path), "--workers", "1", "reproduce", "fig4"]) == EXIT_OK
         assert calls == [1] * 5
 
     def test_table1_summary_written_once_with_its_note(self, tmp_path, monkeypatch):
@@ -636,15 +699,28 @@ class TestDominantModeTarget:
         assert np.linalg.norm(a) == pytest.approx(math.sqrt(0.7**2 + 0.1**2), rel=1e-10)
 
 
-THREAD_POOL_PROBE = """
+PROCESS_POOL_PROBE = """
 import sys
 from fracopt import cli
-out, spec = sys.argv[1:]
-assert 'concurrent.futures' not in sys.modules, 'import fracopt.cli loaded concurrent.futures'
-assert cli.main(['--out', out, 'run', spec]) == 0
-assert 'concurrent.futures' not in sys.modules, 'a one-worker run loaded concurrent.futures'
+out, spec, one_method = sys.argv[1:]
+pool = {'concurrent.futures', 'multiprocessing'}
+assert not pool & set(sys.modules), 'import fracopt.cli loaded the pool'
+assert cli.main(['--out', out, '--workers', '1', 'run', spec]) == 0
+assert not pool & set(sys.modules), 'a one-worker run loaded the pool'
+assert cli.main(['--out', out, 'run', one_method]) == 0
+assert not pool & set(sys.modules), 'a one-method run loaded the pool'
 assert cli.main(['--out', out, '--workers', '2', 'run', spec]) == 0
-assert 'concurrent.futures' in sys.modules
+assert pool <= set(sys.modules)
+"""
+
+
+# the thread count numpy's OpenBLAS reads when it loads
+DEFAULT_WORKERS_PROBE = """
+import os, sys
+os.environ['OPENBLAS_NUM_THREADS'] = sys.argv[1]
+from fracopt import cli
+workers, cpus = cli._default_workers(), len(os.sched_getaffinity(0))
+assert workers == max(1, cpus // int(sys.argv[1])), (workers, cpus)
 """
 
 
@@ -870,6 +946,26 @@ class TestCli:
             (row,) = csv.DictReader(fh)
         assert row["status"] == f"diverged: the {kind} problem does not fit in memory"
 
+    def test_iterates_beyond_memory_are_a_failed_cell(self, tmp_path, capsys, monkeypatch):
+        # the GDM iterate buffer doubles past 256 iterates; a MemoryError there
+        # was a traceback, exit 1.  It fails in this process, with --workers 1
+        concatenate = np.concatenate
+
+        def refuse_growth(arrays, axis=0, **kwargs):
+            if axis == 1:
+                raise MemoryError("Unable to allocate")
+            return concatenate(arrays, axis=axis, **kwargs)
+
+        monkeypatch.setattr(np, "concatenate", refuse_growth)
+        path = tmp_path / "long.ini"
+        path.write_text("[experiment]\nname = long\nproblem = quadratic\n\n"
+                        "[method.gdm]\nmethod = gdm\nomega = 0.001\nk_max = 1000\n")
+        assert main(["--out", str(tmp_path), "--workers", "1", "run", str(path)]) == EXIT_DIVERGED
+        assert capsys.readouterr().err == ""
+        with open(tmp_path / "long__summary.csv", newline="") as fh:
+            (row,) = csv.DictReader(fh)
+        assert row["status"] == "diverged: 512 iterates do not fit in memory"
+
     def test_overflowed_metric_at_finite_states_is_a_failed_cell(self, tmp_path, capsys):
         # the PECE states stay finite to t = 10 (near -3e173 at the end), but the
         # residual overflows from t = 8.9: the cell diverges there, with no warning
@@ -934,10 +1030,20 @@ class TestCli:
         assert summary("--seed", "5") == summary()
 
     def test_default_run_leaves_out_thread_pool(self, tmp_path, fresh_python):
-        # only --workers > 1 loads concurrent.futures
+        # only a pool of more than one worker process loads concurrent.futures
+        # and multiprocessing: not --workers 1, and not one method at the default
         path = tmp_path / "demo.ini"
         path.write_text(QUAD_SPEC_TEXT)
-        assert fresh_python(THREAD_POOL_PROBE, str(tmp_path / "out"), str(path)) == 0
+        one_method = tmp_path / "one.ini"
+        one_method.write_text(QUAD_SPEC_TEXT.split("[method.fctm")[0])
+        assert fresh_python(PROCESS_POOL_PROBE, str(tmp_path / "out"), str(path),
+                            str(one_method)) == 0
+
+    @pytest.mark.parametrize("blas_threads", ["1", "2"])
+    def test_default_workers_leave_the_blas_threads_their_cpus(self, fresh_python, blas_threads):
+        # a worker keeps its BLAS threads: two 2-thread workers on two CPUs
+        # spun against each other and took fig2 from 3 s to 23 s
+        assert fresh_python(DEFAULT_WORKERS_PROBE, blas_threads) == 0
 
     def test_thomson_run_leaves_out_numpy_random(self, tmp_path, fresh_python):
         # the seeded starts come from the standard library's generator
@@ -1000,8 +1106,8 @@ class TestTypedFailures:
         assert labels == ["fctm-a0.7"] * 4
 
     def test_table2_solves_each_cell_once(self, tmp_path, monkeypatch, small_table2):
-        calls = count_fctm_stacks(monkeypatch)
-        assert main(["--out", str(tmp_path), "reproduce", "table2"]) == EXIT_OK
+        calls = count_fctm_stacks(monkeypatch)  # counted in this process, as for fig4
+        assert main(["--out", str(tmp_path), "--workers", "1", "reproduce", "table2"]) == EXIT_OK
         assert calls == [2] * 4  # four N, both FCTM restarts in one call each
         assert all((tmp_path / f"table2__geometry_n{n}.csv").exists() for n in (4, 5, 6, 12))
 

@@ -97,6 +97,14 @@ class TestConfigValidation:
         with pytest.raises(ConfigError, match="epsilon must be finite"):
             OptimizerConfig(method=Method.GDM, omega=0.1, epsilon=math.nan)
 
+    def test_k_max_is_an_integer(self):
+        # k_max = 5.5 constructed, then range(k_max) raised TypeError in the run
+        for k_max in (5.5, 5.0, "5"):
+            with pytest.raises(ConfigError, match=f"^k_max must be an integer, got {k_max!r}$"):
+                OptimizerConfig(method=Method.GDM, omega=0.1, k_max=k_max)
+        cfg = OptimizerConfig(method=Method.GDM, omega=0.1, k_max=np.int64(5))
+        assert type(cfg.k_max) is int and cfg.k_max == 5
+
     def test_operator_name(self):
         with pytest.raises(ConfigError):
             OptimizerConfig(method=Method.FGDM, omega=0.1, fgdm_operator="weyl",

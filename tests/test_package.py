@@ -1,8 +1,12 @@
 from __future__ import annotations
 
 import ast
+import dataclasses
 import inspect
+import pickle
 from pathlib import Path
+
+import numpy as np
 
 import fracopt
 from fracopt import errors, fdesolve, fracops, optimizers, problems, specfun
@@ -22,6 +26,38 @@ def test_errors_exports_every_error_type():
                if inspect.isclass(obj) and issubclass(obj, errors.FracoptError)
                and obj.__module__ == errors.__name__}
     assert set(errors.__all__) == defined
+
+
+# constructor arguments of the error types that take more than a message
+ERROR_ARGS = {errors.SolverDivergenceError: (8.9,), errors.IterationDivergenceError: (3,),
+              errors.SingularPairError: (0, 1)}
+
+
+def test_errors_survive_pickling():
+    # a worker process returns a failed cell's error by pickle; Exception pickles
+    # only the message, which the typed constructors then formatted as a number
+    for name in errors.__all__:
+        cls = getattr(errors, name)
+        error = cls(*ERROR_ARGS.get(cls, ("a message",)))
+        copy = pickle.loads(pickle.dumps(error))
+        assert type(copy) is cls
+        assert (str(copy), vars(copy)) == (str(error), vars(error))
+
+
+def test_traces_stay_frozen_through_pickling():
+    # a worker process returns its traces by pickle, which made their arrays writeable
+    stats = fdesolve.TrajectoryStats(steps=2, field_evaluations=5)
+    for trace in (fdesolve.Trajectory(times=[0.0, 0.5, 1.0], states=[[1.0], [0.5], [0.25]],
+                                      stats=stats),
+                  optimizers.DiscreteTrace(iterates=[[1.0, 2.0], [0.5, 1.0]], costs=[5.0, 1.25])):
+        copy = pickle.loads(pickle.dumps(trace))
+        assert type(copy) is type(trace)
+        for field in dataclasses.fields(trace):
+            value, copied = getattr(trace, field.name), getattr(copy, field.name)
+            if isinstance(value, np.ndarray):
+                assert np.array_equal(copied, value) and not copied.flags.writeable
+            else:
+                assert copied == value
 
 
 def _module_trees() -> dict[str, ast.Module]:
