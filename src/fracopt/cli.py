@@ -76,17 +76,22 @@ def _default_workers() -> int:
     9 200 steps rounds differently on one BLAS thread than on two.  More
     workers than this make the threads spin against each other: on two
     CPUs, with two BLAS threads each, fig2 took 23 s on two workers and
-    3 s on one."""
+    3 s on one.  Where the affinity mask or ``/proc/self/maps`` is missing
+    (macOS), or a mapped OpenBLAS does not load, it is ``os.cpu_count()``
+    over one BLAS thread."""
     import ctypes
 
-    with open("/proc/self/maps") as maps:
-        libraries = {line.split(maxsplit=5)[5].strip() for line in maps if "openblas" in line}
-    blas = 1
-    for path in libraries:
-        library = ctypes.CDLL(path)
-        blas = max([blas] + [getattr(library, name)() for name in _OPENBLAS_THREADS
-                             if hasattr(library, name)])
-    return max(1, len(os.sched_getaffinity(0)) // blas)
+    try:
+        with open("/proc/self/maps") as maps:
+            libraries = {line.split(maxsplit=5)[5].strip() for line in maps if "openblas" in line}
+        blas = 1
+        for path in libraries:
+            library = ctypes.CDLL(path)
+            blas = max([blas] + [getattr(library, name)() for name in _OPENBLAS_THREADS
+                                 if hasattr(library, name)])
+        return max(1, len(os.sched_getaffinity(0)) // blas)
+    except (AttributeError, OSError):
+        return os.cpu_count() or 1
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -168,6 +168,8 @@ class SummaryRecord:
     field_evaluations: int
     status: str
     wall_seconds: float
+    # what run_experiment's on_result returned for this cell; None for a failed cell
+    hook_value: object = None
 
 
 def dominant_mode_target(degree: int) -> np.ndarray:
@@ -245,16 +247,16 @@ def _write_summary(path: Path, records: list[SummaryRecord],
     ), header_note)
 
 
-def _write_method(out: Path, spec: ExperimentSpec, mspec: MethodSpec,
-                  outcomes: list[RunResult | FracoptError],
-                  on_result: Callable[[str, int, RunResult], None] | None,
-                  ) -> list[SummaryRecord]:
-    """Write one method's trace CSVs, pass each completed cell to
+def _method_job(out: Path, spec: ExperimentSpec,
+                on_result: Callable[[str, int, RunResult], object] | None,
+                mspec: MethodSpec) -> list[SummaryRecord]:
+    """Run one method, write its trace CSVs, pass each completed cell to
     ``on_result``, and return one summary record per cell, without its
-    ``ratio_vs_alpha1``; no record holds a trace."""
+    ``ratio_vs_alpha1``; a record holds what ``on_result`` returned, and
+    no trace."""
     cfg = mspec.cfg
     records = []
-    for restart, outcome in enumerate(outcomes):
+    for restart, outcome in enumerate(_run_method(spec, mspec)):
         cell = dict(problem=spec.problem.kind, label=mspec.label, method=cfg.method.value,
                     alpha=cfg.alpha, gain=cfg.omega if cfg.omega is not None else cfg.gain,
                     restart=restart, ratio_vs_alpha1=None)
@@ -265,36 +267,49 @@ def _write_method(out: Path, spec: ExperimentSpec, mspec: MethodSpec,
             continue
         (outcome.trace or outcome.iterations).to_csv(
             out / f"{spec.name}__{mspec.label}__r{restart}.csv")
-        if on_result is not None:
-            on_result(mspec.label, restart, outcome)
+        value = on_result(mspec.label, restart, outcome) if on_result is not None else None
         records.append(SummaryRecord(
             **cell, passages={t: outcome.first_passage.get(t) for t in spec.thresholds},
             final_metric=outcome.final_metric, field_evaluations=outcome.field_evaluations,
-            status="completed", wall_seconds=outcome.wall_seconds))
+            status="completed", wall_seconds=outcome.wall_seconds, hook_value=value))
     return records
+
+
+# set only in a worker process, which runs the jobs of the one experiment that forked it
+_worker_job: Callable[[MethodSpec], list[SummaryRecord]] | None = None
+
+
+def _install_job(job: Callable[[MethodSpec], list[SummaryRecord]]) -> None:
+    global _worker_job
+    _worker_job = job
+
+
+def _run_installed_job(mspec: MethodSpec) -> list[SummaryRecord]:
+    return _worker_job(mspec)
 
 
 def run_experiment(
     spec: ExperimentSpec, out_dir: str | Path, workers: int = 1,
-    on_result: Callable[[str, int, RunResult], None] | None = None,
+    on_result: Callable[[str, int, RunResult], object] | None = None,
     header_note: str | None = None,
 ) -> tuple[list[SummaryRecord], int]:
     """Execute every (method, restart) cell and write summary/trace CSVs.
 
     Each method runs its restarts as one stacked job (see
-    :func:`run_restarts`).  With ``workers`` > 1, up to that many methods
-    run at once, each in a forked worker process, and their results come
-    back by pickle; ``workers`` < 1 is a configuration error, raised before
-    ``out_dir`` is made.  This process writes every output: a method's
-    trace CSVs as soon as its job ends, in the order of ``spec.methods``;
-    then ``on_result(label, restart, result)`` sees each completed cell
-    with its trace, and the cell becomes a
-    :class:`SummaryRecord`, which holds no result.  ``ratio_vs_alpha1``
-    divides the final metric of the first order-1 method by each cell's,
-    per restart; ``header_note``, if given, heads the summary CSV.  A
-    diverging cell is recorded with its error and does not abort the
-    batch; the returned exit code is EXIT_DIVERGED if any cell failed,
-    EXIT_OK otherwise.
+    :func:`run_restarts`).  The process that runs a method also writes its
+    trace CSVs and then calls ``on_result(label, restart, result)`` on each
+    completed cell, in restart order; what the call returns comes back as
+    that cell's :attr:`SummaryRecord.hook_value`, and the record holds no
+    result.  With ``workers`` > 1, up to that many methods run at once,
+    each in a process forked for the experiment, so ``on_result`` runs
+    there and its side effects stay there; only the records come back.
+    ``workers`` < 1 is a configuration error, raised before ``out_dir`` is
+    made.  This process writes the summary and timing CSVs once every
+    method has ended.  ``ratio_vs_alpha1`` divides the final metric of the
+    first order-1 method by each cell's, per restart; ``header_note``, if
+    given, heads the summary CSV.  A diverging cell is recorded with its
+    error and does not abort the batch; the returned exit code is
+    EXIT_DIVERGED if any cell failed, EXIT_OK otherwise.
     """
     if workers < 1:
         raise ConfigError(f"workers must be >= 1, got {workers}")
@@ -304,23 +319,19 @@ def run_experiment(
     except OSError as exc:
         raise ConfigError(f"cannot make output directory {str(out)!r}: {exc.strerror}") from None
 
-    def run_and_write(lazy_map) -> list[list[SummaryRecord]]:
-        runs = lazy_map(partial(_run_method, spec), spec.methods)
-        # next(runs) is only an argument, so no name keeps a method's
-        # trajectories alive while the next method runs
-        return [_write_method(out, spec, mspec, next(runs), on_result) for mspec in spec.methods]
-
+    job = partial(_method_job, out, spec, on_result)
     workers = min(workers, len(spec.methods))
     if workers > 1:
-        # only a pool loads these; a forked child inherits the loaded modules
-        # and runs _run_method alone, so the outputs stay in the parent
+        # only a pool loads these.  The job reaches each worker through the
+        # fork, not by pickle, so a closure as on_result works
         import multiprocessing
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork")) as pool:
-            per_method = run_and_write(pool.map)
+        with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"),
+                                 initializer=_install_job, initargs=(job,)) as pool:
+            per_method = list(pool.map(_run_installed_job, spec.methods))
     else:
-        per_method = run_and_write(map)
+        per_method = list(map(job, spec.methods))
 
     # alpha = 1 baseline metric per restart, for the ratio column
     alpha1 = next((recs for m, recs in zip(spec.methods, per_method) if m.cfg.alpha == 1.0), [])
@@ -495,21 +506,20 @@ def _reproduce_fig4(out: Path, seed: int, workers: int):
     # oscillations beyond
     alphas = (0.9, 1.0, 1.2, 1.5, 1.7)
     methods = tuple(_fctm(f"fctm-a{a:g}", a, gain=1.0, h=2e-3, t_end=20.0) for a in alphas)
-    alpha_of = {m.label: m.cfg.alpha for m in methods}
-    census_rows = []
 
-    def energy_trace(label: str, _restart: int, result: RunResult) -> None:
-        # completed cells only, in order of alpha, as listed; a diverged
-        # cell's summary row says why it is missing
+    def energy_trace(label: str, _restart: int, result: RunResult) -> int:
         diff = result.trace.states - 3.0
         energies = np.sum(diff * diff, axis=1)
         write_csv(out / f"fig4__energy__{label}.csv", ["t", "V"],
                   zip(result.trace.times.tolist(), energies.tolist()))
-        census_rows.append((label, alpha_of[label], oscillation_census(energies)))
+        return oscillation_census(energies)
 
     records, code = run_experiment(_quadratic_spec("fig4", methods, seed), out, workers,
                                    on_result=energy_trace)
-    write_csv(out / "fig4__census.csv", ["label", "alpha", "local_minima"], census_rows)
+    # completed cells only, in order of alpha, as listed; a diverged cell's
+    # summary row says why it is missing
+    write_csv(out / "fig4__census.csv", ["label", "alpha", "local_minima"],
+              ((r.label, r.alpha, r.hook_value) for r in records if r.status == "completed"))
     return records, code
 
 
@@ -547,9 +557,10 @@ TABLE2_RESTARTS = 10
 
 
 def _table2_best(n: int, methods: tuple[MethodSpec, ...], records: list[SummaryRecord],
-                 geometry: dict[tuple[str, int], np.ndarray], out: Path) -> list[tuple]:
+                 out: Path) -> list[tuple]:
     """Best completed restart of each method at N charges, plus the final
-    geometry of the best FCTM restart, from ``geometry[label, restart]``."""
+    geometry of the best FCTM restart, which its record's ``hook_value``
+    holds."""
     rows = []
     for mspec in methods:
         group = [r for r in records if r.label == mspec.label and r.status == "completed"]
@@ -562,7 +573,7 @@ def _table2_best(n: int, methods: tuple[MethodSpec, ...], records: list[SummaryR
                      sum(r.field_evaluations for r in group)))
         if mspec.cfg.method is Method.FCTM:
             # final geometry of the best fractional run, for external viewing
-            xyz = ThomsonSpec(n).cartesian(geometry[mspec.label, best.restart])
+            xyz = ThomsonSpec(n).cartesian(best.hook_value)
             write_csv(out / f"table2__geometry_n{n}.csv", ["i", "x", "y", "z"],
                       ([i, *row] for i, row in enumerate(xyz.tolist())))
     return rows
@@ -582,14 +593,11 @@ def _reproduce_table2(out: Path, seed: int, workers: int):
             name=f"table2_n{n}", problem=ProblemSpec(kind="thomson", charges=n),
             methods=methods, thresholds=(), restarts=TABLE2_RESTARTS, base_seed=seed,
         )
-        geometry = {}  # the final state of each completed cell
-
-        def keep_geometry(label: str, restart: int, result: RunResult) -> None:
-            geometry[label, restart] = result.converged_to
-
-        records, c = run_experiment(spec, out, workers, on_result=keep_geometry)
+        # each completed cell's record keeps its final state
+        records, c = run_experiment(spec, out, workers,
+                                    on_result=lambda _label, _restart, result: result.converged_to)
         code = max(code, c)
-        best_rows.extend(_table2_best(n, methods, records, geometry, out))
+        best_rows.extend(_table2_best(n, methods, records, out))
         all_records.extend(records)
     note = (f"best of {TABLE2_RESTARTS} seeded restarts; gdm: omega={TABLE2_GDM_OMEGA:g} "
             f"k_max={TABLE2_GDM_KMAX}; fctm: alpha=0.7 gain=1 h={TABLE2_H:g} "

@@ -15,7 +15,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import fracopt.harness as harness
-from fracopt import _selfcheck
+from fracopt import _selfcheck, cli
 from fracopt._csvfile import _cell, write_csv
 from fracopt.cli import main
 from fracopt.errors import ConfigError, IterationDivergenceError, SampleRetryError, SolverDivergenceError
@@ -533,13 +533,14 @@ def vandermonde_flows(n_methods: int) -> ExperimentSpec:
                           methods=methods)
 
 
-def traced_peak(spec: ExperimentSpec, out: Path) -> int:
-    """Peak bytes that ``run_experiment(spec, out)`` allocates on top of
-    what was allocated before it; tracemalloc counts numpy buffers."""
+def traced_peak(spec: ExperimentSpec, out: Path, workers: int = 1) -> int:
+    """Peak bytes that ``run_experiment(spec, out, workers)`` allocates in
+    this process on top of what was allocated before it; tracemalloc counts
+    numpy buffers."""
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
-        run_experiment(spec, out)
+        run_experiment(spec, out, workers)
         return tracemalloc.get_traced_memory()[1] - before
     finally:
         tracemalloc.stop()
@@ -566,15 +567,15 @@ class TestStreaming:
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_on_result_sees_full_results_in_method_order(self, tmp_path, workers):
-        seen = []
-
+        # a closure, which would not pickle: the hook reaches a worker by the fork
         def hook(label, restart, result):
             history = result.iterations if label == "gdm" else result.trace.times
-            seen.append((label, restart, len(history)))
+            return label, restart, len(history)
 
-        run_experiment(small_spec(name="hook", restarts=2), tmp_path, workers, on_result=hook)
-        assert seen == [("gdm", 0, 201), ("gdm", 1, 201),
-                        ("fctm-a1.2", 0, 1201), ("fctm-a1.2", 1, 1201)]
+        spec = small_spec(name="hook", restarts=2)
+        records, _ = run_experiment(spec, tmp_path, workers, on_result=hook)
+        assert [r.hook_value for m in spec.methods for r in records if r.label == m.label] == [
+            ("gdm", 0, 201), ("gdm", 1, 201), ("fctm-a1.2", 0, 1201), ("fctm-a1.2", 1, 1201)]
 
     def test_peak_memory_is_one_method(self, tmp_path):
         one = traced_peak(vandermonde_flows(1), tmp_path / "one")
@@ -583,34 +584,39 @@ class TestStreaming:
         # 2.6x one method's; streamed, it is within 4 %
         assert five <= 1.5 * one, (one, five)
 
+    def test_peak_memory_at_two_workers_is_below_one_trajectory(self, tmp_path):
+        # the workers write the traces, and only summary records come back
+        spec = vandermonde_flows(5)
+        states = harness._run_method(spec, spec.methods[0])[0].trace.states.nbytes
+        run_experiment(vandermonde_flows(2), tmp_path / "warm", 2)  # loads the pool's modules
+        peak = traced_peak(spec, tmp_path / "five", workers=2)
+        assert peak < states, (peak, states)
+
 
 class TestWorkerProcesses:
     """Methods run in forked worker processes give what one process gives:
-    the same bytes, exit code and ``on_result`` order."""
+    the same bytes, exit code and ``on_result`` values."""
 
-    def test_fig4_same_at_one_and_two_workers(self, tmp_path, monkeypatch):
-        # fig4's hook writes the energy traces: the writes give the hook order
-        written = []
-        write_csv = harness.write_csv
-
-        def recording(path, *args):
-            written.append(Path(path).name)
-            write_csv(path, *args)
-
-        monkeypatch.setattr(harness, "write_csv", recording)
+    def test_fig4_same_at_one_and_two_workers(self, tmp_path):
+        # fig4's hook writes an energy trace where its method ran and returns
+        # the census count, which comes back on the cell's record
         runs = []
-        for workers in ("1", "2"):
-            written.clear()
-            out = tmp_path / workers
-            code = main(["--out", str(out), "--workers", workers, "reproduce", "fig4"])
-            runs.append((code, list(written), output_bytes(out)))
+        for workers in (1, 2):
+            out = tmp_path / str(workers)
+            records, code = harness.reproduce("fig4", out, workers=workers)
+            runs.append((code, [(r.label, r.hook_value) for r in records], output_bytes(out)))
         assert runs[0] == runs[1]
-        assert runs[0][0] == EXIT_OK
-        assert runs[0][1][:5] == [f"fig4__energy__fctm-a{a}.csv" for a in ("0.9", "1", "1.2", "1.5", "1.7")]
+        code, counts, outputs = runs[0]
+        assert code == EXIT_OK
+        assert [label for label, _ in counts] == \
+               [f"fctm-a{a}" for a in ("0.9", "1", "1.2", "1.5", "1.7")]
+        census = csv_rows(tmp_path / "2" / "fig4__census.csv")[1:]
+        assert [(label, int(count)) for label, _, count in census] == counts
+        assert all(f"fig4__energy__{label}.csv" in outputs for label, _ in counts)
 
     def test_thomson_with_a_diverged_method_same_at_one_and_two_workers(self, tmp_path, monkeypatch):
-        # the errors come back from the workers by pickle: FCTM diverges in every
-        # cell, and restart 1 starts from coincident charges, which GDM fails on
+        # FCTM diverges in every cell, and restart 1 starts from coincident
+        # charges, which GDM fails on; the hook sees only completed cells
         sample = harness.random_sphere_configuration
 
         def second_start_coincident(n_charges, seed):
@@ -622,28 +628,68 @@ class TestWorkerProcesses:
         monkeypatch.setattr(harness, "random_sphere_configuration", second_start_coincident)
         fail_when(monkeypatch, lambda starts, cfg: cfg.method is Method.FCTM,
                   SolverDivergenceError(0.25))
+
+        def hook(label, restart, result):
+            return (label, restart, result.converged_to.tobytes(),
+                    result.iterations.iterates.flags.writeable)
+
         runs = []
         for workers in (1, 2):
-            seen = []
-
-            def hook(label, restart, result):
-                seen.append((label, restart, result.converged_to.tobytes(),
-                             result.iterations.iterates.flags.writeable))
-
             out = tmp_path / str(workers)
             records, code = run_experiment(thomson_spec(4), out, workers, on_result=hook)
-            runs.append((code, seen, [(r.label, r.restart, r.status) for r in records],
-                         output_bytes(out)))
+            runs.append((code, [r.hook_value for r in records],
+                         [(r.label, r.restart, r.status) for r in records], output_bytes(out)))
         assert runs[0] == runs[1]
-        code, seen, statuses, _ = runs[0]
+        code, values, statuses, _ = runs[0]
         assert code == EXIT_DIVERGED
-        assert [(label, restart, frozen) for label, restart, _, frozen in seen] == \
-               [("gdm", 0, False), ("gdm", 2, False)]
+        assert [v and (v[0], v[1], v[3]) for v in values] == \
+               [None] * 3 + [("gdm", 0, False), None, ("gdm", 2, False)]
         assert statuses == [  # in the summary's order, by alpha
             ("fctm-a0.7", r, "diverged: nonfinite state or metric at t = 0.25") for r in range(3)] + [
             ("gdm", 0, "completed"),
             ("gdm", 1, "diverged: coincident charges: pair (0, 1) has zero distance"),
             ("gdm", 2, "completed")]
+
+
+# a small spec of two or three methods, as rerun_spec draws it
+RERUN_PROBLEMS = {"quadratic": "c = 3.0\nu0 = 1.0", "thomson": "charges = {}",
+                  "vandermonde": "degree = {}"}
+RERUN_METHODS = {
+    "gdm": "method = gdm\nomega = {}\nk_max = 20",
+    "cgm": "method = cgm\ngain = {}\nh = 0.05\nt_end = 1.0",
+    "fctm": "method = fctm\nalpha = 1.5\ngain = {}\nh = 0.05\nt_end = 1.0",
+    "fgdm": "method = fgdm\nalpha = 0.9\nomega = {}\nk_max = 20",
+}
+
+
+@st.composite
+def rerun_spec(draw) -> str:
+    kind = draw(st.sampled_from(sorted(RERUN_PROBLEMS)))
+    names = [m for m in sorted(RERUN_METHODS) if kind == "quadratic" or m != "fgdm"]
+    methods = draw(st.lists(st.sampled_from(names), min_size=2, max_size=3))
+    text = (f"[experiment]\nname = rerun\nproblem = {kind}\n"
+            f"{RERUN_PROBLEMS[kind].format(draw(st.integers(2, 5)))}\n"
+            f"restarts = {draw(st.integers(1, 3))}\nseed = {draw(st.integers(0, 99))}\n")
+    for i, method in enumerate(methods):
+        step = draw(st.sampled_from([0.01, 0.1, 0.5]))
+        text += f"\n[method.m{i}]\n{RERUN_METHODS[method].format(step)}\n"
+    return text
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=25)
+@given(rerun_spec())
+def test_rerun_same_bytes_at_one_and_two_workers(tmp_path_factory, text):
+    root = tmp_path_factory.mktemp("rerun")
+    path = root / "spec.ini"
+    path.write_text(text)
+    runs = []
+    for workers in ("1", "2"):
+        out = root / workers
+        with contextlib.redirect_stdout(io.StringIO()) as printed:
+            code = main(["--out", str(out), "--workers", workers, "run", str(path)])
+        runs.append((code, printed.getvalue(), output_bytes(out)))
+    assert runs[0] == runs[1], text
+    assert runs[0][0] in (EXIT_OK, EXIT_DIVERGED), text
 
 
 class TestReproduceTargets:
@@ -1004,6 +1050,20 @@ class TestCli:
         assert (f"configuration error: cannot write {str(summary)!r}: Is a directory"
                 in capsys.readouterr().err)
 
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    def test_trace_path_taken_by_directory_is_config_error(self, tmp_path, capsys, workers):
+        # a worker writes its method's traces, and its error comes back as this process's
+        path = tmp_path / "two.ini"
+        path.write_text("[experiment]\nname = two\nproblem = quadratic\n\n"
+                        "[method.a]\nmethod = gdm\nomega = 0.1\nk_max = 5\n\n"
+                        "[method.b]\nmethod = gdm\nomega = 0.2\nk_max = 5\n")
+        trace = tmp_path / "o" / "two__b__r0.csv"
+        trace.mkdir(parents=True)
+        out = str(tmp_path / "o")
+        assert main(["--out", out, "--workers", workers, "run", str(path)]) == EXIT_CONFIG
+        assert (f"configuration error: cannot write {str(trace)!r}: Is a directory"
+                in capsys.readouterr().err)
+
     @pytest.mark.parametrize("method", ["cgm", "fctm"])
     def test_trace_ends_exactly_at_horizon(self, tmp_path, method):
         # 0.1 * 7 rounds to 0.7000000000000001, which the adaptive solver rejected
@@ -1044,6 +1104,24 @@ class TestCli:
         # a worker keeps its BLAS threads: two 2-thread workers on two CPUs
         # spun against each other and took fig2 from 3 s to 23 s
         assert fresh_python(DEFAULT_WORKERS_PROBE, blas_threads) == 0
+
+    @pytest.mark.parametrize("missing", ["affinity", "maps", "library"])
+    def test_default_workers_fall_back_to_cpu_count(self, monkeypatch, missing):
+        # macOS has neither os.sched_getaffinity nor /proc/self/maps, and a
+        # mapped OpenBLAS may not load: then the CPUs over one BLAS thread
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: 3)
+        if missing == "affinity":
+            monkeypatch.delattr(cli.os, "sched_getaffinity")
+        elif missing == "maps":
+            def no_proc(path, *args):
+                raise FileNotFoundError(2, "No such file or directory", path)
+            monkeypatch.setattr(cli, "open", no_proc, raising=False)
+        else:
+            gone = "7f00-7f01 r-xp 00000000 00:00 0 /nonexistent/libopenblas.so\n"
+            monkeypatch.setattr(cli, "open", lambda path, *args: io.StringIO(gone), raising=False)
+        assert cli._default_workers() == 3
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: None)  # undeterminable
+        assert cli._default_workers() == 1
 
     def test_thomson_run_leaves_out_numpy_random(self, tmp_path, fresh_python):
         # the seeded starts come from the standard library's generator

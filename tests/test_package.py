@@ -34,8 +34,8 @@ ERROR_ARGS = {errors.SolverDivergenceError: (8.9,), errors.IterationDivergenceEr
 
 
 def test_errors_survive_pickling():
-    # a worker process returns a failed cell's error by pickle; Exception pickles
-    # only the message, which the typed constructors then formatted as a number
+    # an error raised in a worker process reaches the caller by pickle; Exception
+    # pickles only the message, which the typed constructors then formatted as a number
     for name in errors.__all__:
         cls = getattr(errors, name)
         error = cls(*ERROR_ARGS.get(cls, ("a message",)))
@@ -45,7 +45,8 @@ def test_errors_survive_pickling():
 
 
 def test_traces_stay_frozen_through_pickling():
-    # a worker process returns its traces by pickle, which made their arrays writeable
+    # an on_result value comes back from a worker process by pickle, and may be a
+    # trace; pickling made a trace's arrays writeable
     stats = fdesolve.TrajectoryStats(steps=2, field_evaluations=5)
     for trace in (fdesolve.Trajectory(times=[0.0, 0.5, 1.0], states=[[1.0], [0.5], [0.25]],
                                       stats=stats),
